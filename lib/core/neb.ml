@@ -160,16 +160,21 @@ let try_deliver t src =
                   | None -> ()
                   | Some other when String.equal other raw -> ()
                   | Some other -> (
+                      (* Compare decoded values, not bytes: a Byzantine i
+                         can re-encode src's own (k, msg, sig) with a
+                         non-canonical k ("01", "+1") — same value, so no
+                         conflict (Algorithm 2: "a different value"). *)
                       match decode_slot other with
                       | Some (other_k, other_msg, other_sig)
                         when other_k = k
+                             && (not (String.equal other_msg msg))
                              && Keychain.valid t.chain ~author:src
                                   (slot_payload ~ns:t.cfg.ns ~k:other_k other_msg)
                                   other_sig ->
                           (* a validly-signed different copy: src signed two
                              different k-th messages — equivocation *)
                           conflict := true
-                      | _ -> () (* unsigned noise in i's slot: ignore *))
+                      | _ -> () (* same value, or unsigned noise: ignore *))
               done;
               if !conflict then begin
                 t.convicted.(src) <- true;

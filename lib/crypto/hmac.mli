@@ -1,5 +1,14 @@
 (** HMAC-SHA256 (RFC 2104). *)
 
+(** A key with its inner and outer pads already hashed.  Build it once
+    and MAC many messages under it with {!mac_keyed}. *)
+type keyed
+
+val keyed : string -> keyed
+
+(** [mac_keyed (keyed key) message = mac ~key message]. *)
+val mac_keyed : keyed -> string -> string
+
 (** [mac ~key message] is the 32-byte MAC. *)
 val mac : key:string -> string -> string
 

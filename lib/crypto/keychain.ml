@@ -7,7 +7,13 @@
    secrets.  Tags are HMAC-SHA256 over (signer id, payload). *)
 
 type t = {
-  secrets : string array;
+  keys : Hmac.keyed Lazy.t array;
+      (* per-pid secret with its HMAC pads hashed on first use, so a
+         cluster that never signs hashes no pads *)
+  memo : (int * string * string, bool) Hashtbl.t;
+      (* verdict per full (author, payload, tag), compared structurally:
+         a hit is exactly the verdict the HMAC would give.  Per keychain,
+         i.e. per cluster, so separate runs never share verdicts. *)
   mutable on_sign : int -> unit; (* receives the signer's pid *)
   mutable on_verify : ok:bool -> unit; (* receives the verdict *)
 }
@@ -17,23 +23,28 @@ type signer = { pid : int; chain : t }
 type signature = { author : int; tag : string }
 
 let create ?(seed = 42) ~n () =
-  let secrets =
-    Array.init n (fun i -> Sha256.digest_string (Printf.sprintf "secret-%d-%d" seed i))
+  let keys =
+    Array.init n (fun i ->
+        let secret = Sha256.digest_string (Printf.sprintf "secret-%d-%d" seed i) in
+        lazy (Hmac.keyed secret))
   in
-  { secrets; on_sign = (fun _ -> ()); on_verify = (fun ~ok:_ -> ()) }
+  { keys; memo = Hashtbl.create 64; on_sign = (fun _ -> ()); on_verify = (fun ~ok:_ -> ()) }
 
 let set_hooks t ~on_sign ~on_verify =
   t.on_sign <- on_sign;
   t.on_verify <- on_verify
 
 let signer t pid =
-  if pid < 0 || pid >= Array.length t.secrets then
+  if pid < 0 || pid >= Array.length t.keys then
     invalid_arg "Keychain.signer: no such process";
   { pid; chain = t }
 
 let signer_id s = s.pid
 
 let payload_key author payload = Printf.sprintf "%d|%s" author payload
+
+let tag_for t pid payload =
+  Hmac.mac_keyed (Lazy.force t.keys.(pid)) (payload_key pid payload)
 
 (* [sign]/[valid] are synchronous (no engine suspension inside), so a
    profiler scope here is a legal work-attribution frame: the SHA-256
@@ -43,10 +54,7 @@ let sign signer payload =
   Rdma_obs.Prof.scope "crypto.sign" (fun () ->
       Rdma_obs.Prof.bump "crypto.signs" 1;
       chain.on_sign signer.pid;
-      { author = signer.pid;
-        tag =
-          Hmac.mac ~key:chain.secrets.(signer.pid)
-            (payload_key signer.pid payload) })
+      { author = signer.pid; tag = tag_for chain signer.pid payload })
 
 (* A deliberately bogus signature claiming authorship by [author]; used by
    Byzantine behaviours in tests.  Verification rejects it (with
@@ -55,13 +63,26 @@ let sign signer payload =
 let forge ~author payload =
   { author; tag = Hmac.mac ~key:"forged" (payload_key author payload) }
 
+(* [crypto.verifies], [on_verify] and the verdict are per logical call;
+   [crypto.verifies.cached] counts the calls the memo answered.  An
+   author outside [0, n) (a Byzantine-written id) has no key: invalid. *)
 let valid t ~author payload signature =
   Rdma_obs.Prof.scope "crypto.verify" (fun () ->
       Rdma_obs.Prof.bump "crypto.verifies" 1;
       let ok =
         signature.author = author
-        && Hmac.equal signature.tag
-             (Hmac.mac ~key:t.secrets.(author) (payload_key author payload))
+        && author >= 0
+        && author < Array.length t.keys
+        &&
+        let entry = (author, payload, signature.tag) in
+        match Hashtbl.find_opt t.memo entry with
+        | Some ok ->
+            Rdma_obs.Prof.bump "crypto.verifies.cached" 1;
+            ok
+        | None ->
+            let ok = Hmac.equal signature.tag (tag_for t author payload) in
+            Hashtbl.add t.memo entry ok;
+            ok
       in
       t.on_verify ~ok;
       ok)

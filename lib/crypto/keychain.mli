@@ -31,7 +31,11 @@ val sign : signer -> string -> signature
     behaviours.  Always fails {!valid}. *)
 val forge : author:int -> string -> signature
 
-(** [valid t ~author v s] — the paper's [sValid(author, v)]. *)
+(** [valid t ~author v s] — the paper's [sValid(author, v)].  False for
+    an [author] outside [0, n).  Verdicts are memoised per keychain on
+    the exact [(author, v, tag)]; every call still counts as one
+    [crypto.verifies] and fires [on_verify], and a memo hit also bumps
+    [crypto.verifies.cached]. *)
 val valid : t -> author:int -> string -> signature -> bool
 
 (** [s_valid t v s] validates [s] against its claimed author. *)

@@ -42,6 +42,18 @@ let init () =
     w = Array.make 64 0l;
   }
 
+(* An independent snapshot of [ctx]: feeding either one afterwards
+   leaves the other untouched.  [w] is per-block scratch, so the copy
+   gets a fresh one rather than a clone. *)
+let copy ctx =
+  {
+    h = Array.copy ctx.h;
+    block = Bytes.copy ctx.block;
+    block_len = ctx.block_len;
+    total_len = ctx.total_len;
+    w = Array.make 64 0l;
+  }
+
 let ( +% ) = Int32.add
 
 let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))

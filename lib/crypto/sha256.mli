@@ -5,6 +5,11 @@ type ctx
 
 val init : unit -> ctx
 
+(** An independent copy of a hash state: feeding or finalizing one
+    leaves the other unchanged.  Used to reuse a hashed prefix, e.g. the
+    HMAC key pads ({!Hmac.keyed}). *)
+val copy : ctx -> ctx
+
 (** Absorb a string into the hash state. *)
 val feed_string : ctx -> string -> unit
 

@@ -100,6 +100,24 @@ dune exec bin/rdma_agreement.exe -- chaos explore paxos \
   --out "$tmp/repro-j4.json" > /dev/null
 cmp "$tmp/repro.json" "$tmp/repro-j4.json"
 
+# A Byzantine batch too: signature checks, their per-cluster verdict
+# memo and the crypto counters in the merged metrics must not depend on
+# how cases are spread over domains.
+dune exec bin/rdma_agreement.exe -- chaos explore robust-backup \
+  --runs 25 --seed 1 --adversary --byzantine -j 1 \
+  --metrics-out "$tmp/bm1.json" > "$tmp/bj1.out"
+dune exec bin/rdma_agreement.exe -- chaos explore robust-backup \
+  --runs 25 --seed 1 --adversary --byzantine -j 4 \
+  --metrics-out "$tmp/bm4.json" > "$tmp/bj4.out"
+cmp "$tmp/bm1.json" "$tmp/bm4.json"
+grep -v "^metrics written" "$tmp/bj1.out" > "$tmp/bj1.flt"
+grep -v "^metrics written" "$tmp/bj4.out" > "$tmp/bj4.flt"
+cmp "$tmp/bj1.flt" "$tmp/bj4.flt"
+grep -q "crypto.verifies.cached" "$tmp/bm1.json" || {
+  echo "Byzantine batch metrics missing the verdict-memo counter" >&2
+  exit 1
+}
+
 # Same contract for the experiment harness: a subset of the suite run
 # across 4 domains prints the same bytes as the sequential run.
 dune exec bench/main.exe -- -j 1 d2 m1 c1 > "$tmp/bench-j1.out"

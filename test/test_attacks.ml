@@ -104,6 +104,57 @@ let test_neb_sequence_replay () =
     [ (1, "once") ]
     (List.rev !delivered)
 
+(* A Byzantine p0 copies correct p1's signed slot into its own copy slot
+   for p1, re-encoding the same (k, msg, sig) with a non-canonical k.
+   The copy holds the same value, so it is no evidence of equivocation:
+   p1's message must still reach p2 (NEB property 1). *)
+let test_neb_reencoded_copy_not_conflict () =
+  let neb_cfg = { Neb.default_config with give_up_at = 120.0; poll_interval = 1.0 } in
+  List.iter
+    (fun k_field ->
+      let cluster : string Cluster.t = Cluster.create ~n:3 ~m:3 () in
+      Neb.setup_regions cluster ~max_seq:neb_cfg.Neb.max_seq ();
+      let delivered = ref [] in
+      Cluster.spawn cluster ~pid:1 (fun ctx ->
+          let neb =
+            Neb.create ctx ~cfg:neb_cfg ~deliver:(fun ~k:_ ~msg:_ ~src:_ -> ()) ()
+          in
+          Neb.broadcast neb "original");
+      Cluster.spawn_byzantine cluster ~pid:0 (fun ctx ->
+          let reader =
+            Rdma_reg.Swmr.attach ~client:ctx.Cluster.client ~region:(Neb.region_of 1)
+          in
+          let rec steal () =
+            match Rdma_reg.Swmr.read reader ~reg:(Neb.slot_reg ~owner:1 ~k:1 ~src:1) with
+            | Some raw -> raw
+            | None -> Engine.sleep 1.0; steal ()
+          in
+          match Codec.split3 (steal ()) with
+          | Some (_, msg, sig_enc) ->
+              let own =
+                Rdma_reg.Swmr.attach ~client:ctx.Cluster.client ~region:(Neb.region_of 0)
+              in
+              ignore
+                (Rdma_reg.Swmr.write own ~reg:(Neb.slot_reg ~owner:0 ~k:1 ~src:1)
+                   (Codec.join3 k_field msg sig_enc))
+          | None -> ());
+      (* p2 starts reading once p0's copy is in place *)
+      Cluster.spawn cluster ~pid:2 (fun ctx ->
+          Engine.sleep 20.0;
+          let neb =
+            Neb.create ctx ~cfg:neb_cfg
+              ~deliver:(fun ~k ~msg ~src -> delivered := (src, k, msg) :: !delivered)
+              ()
+          in
+          Neb.spawn_poller ctx neb);
+      Cluster.run cluster;
+      Cluster.check_errors cluster;
+      Alcotest.(check (list (pair int (pair int string))))
+        (Printf.sprintf "p1's message delivered despite a copy keyed %S" k_field)
+        [ (1, (1, "original")) ]
+        (List.map (fun (s, k, m) -> (s, (k, m))) !delivered))
+    [ "01"; "+1"; "0x1"; "0b1"; "1_" ]
+
 let test_permission_thief_cannot_take_neb_region () =
   (* Under the Fast & Robust legalChange policy, nobody can obtain write
      access to another process's NEB region. *)
@@ -130,6 +181,8 @@ let suite =
       test_signature_domain_separation;
     Alcotest.test_case "NEB identity replay refused" `Quick test_neb_identity_replay;
     Alcotest.test_case "NEB sequence replay refused" `Quick test_neb_sequence_replay;
+    Alcotest.test_case "NEB re-encoded copy is not equivocation" `Quick
+      test_neb_reencoded_copy_not_conflict;
     Alcotest.test_case "legalChange guards NEB regions" `Quick
       test_permission_thief_cannot_take_neb_region;
   ]

@@ -242,6 +242,41 @@ let test_decision_agreement_lemma () =
         (List.length decided <= 1))
     [ (1, 0.5); (2, 1.5); (3, 2.5); (4, 4.0); (5, 8.0) ]
 
+(* A Byzantine-written proof may name any signer id.  One outside
+   [0, n), listed first, must make the proof invalid — not crash the
+   correct process that checks it — and still count as a verification. *)
+let test_out_of_range_signer_rejected () =
+  let open Rdma_crypto in
+  let n = 3 in
+  let chain = Keychain.create ~n () in
+  let verifies = ref 0 in
+  Keychain.set_hooks chain ~on_sign:(fun _ -> ()) ~on_verify:(fun ~ok:_ -> incr verifies);
+  let value = "v" in
+  let sign q = Keychain.sign (Keychain.signer chain q) (Cheap_quorum.value_payload value) in
+  let bogus author =
+    match Keychain.decode (Printf.sprintf "%d:%s" author (String.make 64 'a')) with
+    | Some s -> s
+    | None -> Alcotest.fail "bogus signature did not decode"
+  in
+  List.iter
+    (fun author ->
+      let proof =
+        Cheap_quorum.encode_proof ~value
+          ~sigs:[ (author, bogus author); (0, sign 0); (1, sign 1) ]
+      in
+      verifies := 0;
+      Alcotest.(check (option string))
+        (Printf.sprintf "signer %d: proof invalid" author)
+        None
+        (Cheap_quorum.verify_proof chain ~n proof);
+      Alcotest.(check int)
+        (Printf.sprintf "signer %d: counted as one verification" author)
+        1 !verifies)
+    [ 7; n; -1 ];
+  Alcotest.(check (option string)) "a proof with signers 0..n-1 still verifies" (Some value)
+    (Cheap_quorum.verify_proof chain ~n
+       (Cheap_quorum.encode_proof ~value ~sigs:[ (0, sign 0); (1, sign 1); (2, sign 2) ]))
+
 let suite =
   [
     Alcotest.test_case "common case: all decide leader's value" `Quick
@@ -269,4 +304,6 @@ let suite =
     Alcotest.test_case "minority memory crash tolerated" `Quick test_memory_crash_tolerated;
     Alcotest.test_case "decision agreement sweep (Lemma 4.5)" `Quick
       test_decision_agreement_lemma;
+    Alcotest.test_case "out-of-range proof signer rejected" `Quick
+      test_out_of_range_signer_rejected;
   ]

@@ -30,6 +30,80 @@ let qcheck_canonical =
     QCheck2.Gen.(pair (list (string_size (0 -- 10))) (list (string_size (0 -- 10))))
     (fun (a, b) -> a = b || Codec.join a <> Codec.join b)
 
+(* The Buffer-based escape/unescape the codec shipped with, kept here as
+   the reference: the one-pass versions must match it byte for byte on
+   every input, including strings [escape] never produces. *)
+let reference_escape s =
+  if s = "" then "%e"
+  else begin
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '|' -> Buffer.add_string buf "%7c"
+        | '%' -> Buffer.add_string buf "%25"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
+
+let reference_unescape s =
+  if s = "%e" then ""
+  else begin
+    let buf = Buffer.create (String.length s) in
+    let i = ref 0 in
+    let len = String.length s in
+    while !i < len do
+      (if s.[!i] = '%' && !i + 2 < len then begin
+         match String.sub s (!i + 1) 2 with
+         | "7c" -> Buffer.add_char buf '|'; i := !i + 3
+         | "25" -> Buffer.add_char buf '%'; i := !i + 3
+         | _ -> Buffer.add_char buf s.[!i]; incr i
+       end
+       else begin
+         Buffer.add_char buf s.[!i];
+         incr i
+       end)
+    done;
+    Buffer.contents buf
+  end
+
+(* Strings dense in the bytes the escapes are made of. *)
+let codec_string =
+  QCheck2.Gen.(
+    string_size
+      ~gen:(frequency [ (4, oneofl [ '|'; '%'; '7'; 'c'; '2'; '5'; 'e' ]); (1, char) ])
+      (0 -- 24))
+
+let test_escape_edge_cases () =
+  List.iter
+    (fun s ->
+      Alcotest.(check string) ("escape " ^ String.escaped s) (reference_escape s)
+        (Codec.escape s);
+      Alcotest.(check string) ("unescape " ^ String.escaped s) (reference_unescape s)
+        (Codec.unescape s))
+    [ ""; "%"; "|"; "%7"; "a%7"; "%7c"; "x%7c"; "%e"; "%ee"; "a%e"; "%%7c"; "%257c";
+      "%2"; "%25"; "%7C"; "||"; "%%"; "plain" ]
+
+let qcheck_escape_matches_reference =
+  QCheck2.Test.make ~name:"codec escape/unescape byte-identical to the reference"
+    ~count:2000 codec_string (fun s ->
+      String.equal (Codec.escape s) (reference_escape s)
+      && String.equal (Codec.unescape s) (reference_unescape s)
+      && String.equal (Codec.unescape (Codec.escape s)) s)
+
+let qcheck_join_matches_reference =
+  QCheck2.Test.make ~name:"codec join byte-identical to the reference" ~count:1000
+    QCheck2.Gen.(list_size (0 -- 6) codec_string)
+    (fun fields ->
+      String.equal (Codec.join fields)
+        (String.concat "|" (List.map reference_escape fields)))
+
+let qcheck_split_join_biased =
+  QCheck2.Test.make ~name:"codec split (join xs) = xs on escape-dense fields" ~count:1000
+    QCheck2.Gen.(list_size (0 -- 6) codec_string)
+    (fun fields -> Codec.split (Codec.join fields) = fields)
+
 (* Paxos message codec *)
 
 let test_paxos_msgs_roundtrip () =
@@ -64,6 +138,11 @@ let suite =
     Alcotest.test_case "fixed arity helpers" `Quick test_fixed_arity;
     QCheck_alcotest.to_alcotest qcheck_roundtrip;
     QCheck_alcotest.to_alcotest qcheck_canonical;
+    Alcotest.test_case "escape edge cases match the reference" `Quick
+      test_escape_edge_cases;
+    QCheck_alcotest.to_alcotest qcheck_escape_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_join_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_split_join_biased;
     Alcotest.test_case "paxos messages roundtrip" `Quick test_paxos_msgs_roundtrip;
     Alcotest.test_case "paxos decode rejects garbage" `Quick test_paxos_decode_garbage;
   ]

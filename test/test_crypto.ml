@@ -71,6 +71,130 @@ let test_hmac_rfc4231_6 () =
     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"
     (Hmac.mac_hex ~key "Test Using Larger Than Block-Size Key - Hash Key First")
 
+(* RFC 4231 test case 4: 25-byte key 0x01..0x19, data 50 x 0xcd *)
+let test_hmac_rfc4231_4 () =
+  let key = String.init 25 (fun i -> Char.chr (i + 1)) in
+  Alcotest.(check string) "rfc4231 #4"
+    "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+    (Hmac.mac_hex ~key (String.make 50 '\xcd'))
+
+(* RFC 4231 test case 7: 131-byte key and a message over one block *)
+let test_hmac_rfc4231_7 () =
+  let key = String.make 131 '\xaa' in
+  Alcotest.(check string) "rfc4231 #7"
+    "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+    (Hmac.mac_hex ~key
+       "This is a test using a larger than block-size key and a larger than \
+        block-size data. The key needs to be hashed before being used by the \
+        HMAC algorithm.")
+
+(* The keyed (precomputed-pad) path against the same vectors, with one
+   [keyed] value reused across messages so a shared midstate that leaked
+   state between MACs would show. *)
+let test_hmac_keyed_rfc4231 () =
+  let vectors =
+    [
+      ( String.make 20 '\x0b', "Hi There",
+        "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7" );
+      ( "Jefe", "what do ya want for nothing?",
+        "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843" );
+      ( String.make 20 '\xaa', String.make 50 '\xdd',
+        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe" );
+      ( String.init 25 (fun i -> Char.chr (i + 1)), String.make 50 '\xcd',
+        "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b" );
+      ( String.make 131 '\xaa', "Test Using Larger Than Block-Size Key - Hash Key First",
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54" );
+      ( String.make 131 '\xaa',
+        "This is a test using a larger than block-size key and a larger than \
+         block-size data. The key needs to be hashed before being used by the \
+         HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2" );
+    ]
+  in
+  List.iter
+    (fun (key, msg, expected) ->
+      let k = Hmac.keyed key in
+      for round = 1 to 2 do
+        Alcotest.(check string)
+          (Printf.sprintf "keyed mac, round %d" round)
+          expected
+          (Sha256.to_hex (Hmac.mac_keyed k msg));
+        ignore (Hmac.mac_keyed k "interleaved other message")
+      done)
+    vectors
+
+let test_sha256_copy_independent () =
+  let a = Sha256.init () in
+  Sha256.feed_string a (String.make 70 'p');
+  let b = Sha256.copy a in
+  Sha256.feed_string a "left";
+  Sha256.feed_string b "right";
+  Alcotest.(check string) "original sees only its own suffix"
+    (Sha256.hex_of_string (String.make 70 'p' ^ "left"))
+    (Sha256.to_hex (Sha256.finalize a));
+  Alcotest.(check string) "copy sees only its own suffix"
+    (Sha256.hex_of_string (String.make 70 'p' ^ "right"))
+    (Sha256.to_hex (Sha256.finalize b))
+
+let tamper (s : Keychain.signature) =
+  let enc = Keychain.encode s in
+  let last = String.length enc - 1 in
+  let flipped = if enc.[last] = '0' then '1' else '0' in
+  match Keychain.decode (String.sub enc 0 last ^ String.make 1 flipped) with
+  | Some s' -> s'
+  | None -> Alcotest.fail "tampered signature did not decode"
+
+(* Memoised verdicts equal the uncached check: each case is asked three
+   times of one keychain (miss, then hits) and once of a fresh keychain
+   with the same seed (empty memo). *)
+let test_memo_same_verdicts () =
+  let fresh () = Keychain.create ~seed:5 ~n:3 () in
+  let chain = fresh () in
+  let good = Keychain.sign (Keychain.signer chain 1) "payload" in
+  let cases =
+    [
+      ("valid signature", 1, "payload", good, true);
+      ("tampered tag", 1, "payload", tamper good, false);
+      ("wrong author", 2, "payload", good, false);
+      ("wrong payload", 1, "payl0ad", good, false);
+      ("forged", 1, "payload", Keychain.forge ~author:1 "payload", false);
+    ]
+  in
+  for _ = 1 to 3 do
+    List.iter
+      (fun (name, author, payload, signature, expected) ->
+        Alcotest.(check bool) (name ^ ": memoised") expected
+          (Keychain.valid chain ~author payload signature);
+        Alcotest.(check bool) (name ^ ": uncached") expected
+          (Keychain.valid (fresh ()) ~author payload signature))
+      cases
+  done
+
+(* [crypto.verifies] is the paper's logical count: every call, hit or
+   miss.  [crypto.verifies.cached] counts hits only; the cluster's Stats
+   hook still sees every call. *)
+let test_verify_counters () =
+  let cluster : string Rdma_mm.Cluster.t = Rdma_mm.Cluster.create ~n:2 ~m:1 () in
+  let chain = Rdma_mm.Cluster.keychain cluster in
+  let prof = Rdma_obs.Prof.create () in
+  Rdma_obs.Prof.with_profiler prof (fun () ->
+      let s = Keychain.sign (Keychain.signer chain 0) "x" in
+      for _ = 1 to 4 do
+        ignore (Keychain.valid chain ~author:0 "x" s)
+      done;
+      ignore (Keychain.valid chain ~author:0 "y" s);
+      ignore (Keychain.valid chain ~author:5 "x" s));
+  let total name =
+    Option.value ~default:0 (List.assoc_opt name (Rdma_obs.Prof.totals prof))
+  in
+  Alcotest.(check int) "crypto.verifies counts every call" 6 (total "crypto.verifies");
+  Alcotest.(check int) "crypto.verifies.cached counts hits only" 3
+    (total "crypto.verifies.cached");
+  Alcotest.(check int) "hmac.macs: one sign, two distinct verifies" 3
+    (total "hmac.macs");
+  Alcotest.(check int) "Stats verifications count every call" 6
+    (Rdma_mm.Cluster.stats cluster).Rdma_sim.Stats.verifications
+
 let test_sign_verify () =
   let chain = Keychain.create ~n:4 () in
   let s1 = Keychain.signer chain 1 in
@@ -146,6 +270,13 @@ let qcheck_hmac_key_separation =
     QCheck2.Gen.(tup3 (string_size (1 -- 40)) (string_size (1 -- 40)) (string_size (0 -- 60)))
     (fun (k1, k2, msg) -> k1 = k2 || not (Hmac.equal (Hmac.mac ~key:k1 msg) (Hmac.mac ~key:k2 msg)))
 
+let qcheck_keyed_matches_mac =
+  QCheck2.Test.make ~name:"hmac: mac_keyed (keyed k) = mac ~key:k" ~count:200
+    QCheck2.Gen.(pair (string_size (0 -- 150)) (list_size (1 -- 3) (string_size (0 -- 200))))
+    (fun (key, msgs) ->
+      let k = Hmac.keyed key in
+      List.for_all (fun m -> String.equal (Hmac.mac_keyed k m) (Hmac.mac ~key m)) msgs)
+
 let qcheck_signature_roundtrip =
   QCheck2.Test.make ~name:"keychain: encode/decode preserves validity" ~count:100
     QCheck2.Gen.(pair (0 -- 3) (string_size (0 -- 60)))
@@ -161,6 +292,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_digest_shape;
     QCheck_alcotest.to_alcotest qcheck_distinct_inputs_distinct_digests;
     QCheck_alcotest.to_alcotest qcheck_hmac_key_separation;
+    QCheck_alcotest.to_alcotest qcheck_keyed_matches_mac;
     QCheck_alcotest.to_alcotest qcheck_signature_roundtrip;
     Alcotest.test_case "sha256: empty string" `Quick test_sha256_empty;
     Alcotest.test_case "sha256: abc" `Quick test_sha256_abc;
@@ -172,7 +304,13 @@ let suite =
     Alcotest.test_case "hmac: RFC 4231 case 1" `Quick test_hmac_rfc4231_1;
     Alcotest.test_case "hmac: RFC 4231 case 2" `Quick test_hmac_rfc4231_2;
     Alcotest.test_case "hmac: RFC 4231 case 3" `Quick test_hmac_rfc4231_3;
+    Alcotest.test_case "hmac: RFC 4231 case 4" `Quick test_hmac_rfc4231_4;
     Alcotest.test_case "hmac: RFC 4231 case 6 (long key)" `Quick test_hmac_rfc4231_6;
+    Alcotest.test_case "hmac: RFC 4231 case 7 (long key and data)" `Quick
+      test_hmac_rfc4231_7;
+    Alcotest.test_case "hmac: keyed pads match RFC 4231" `Quick test_hmac_keyed_rfc4231;
+    Alcotest.test_case "sha256: copy evolves independently" `Quick
+      test_sha256_copy_independent;
     Alcotest.test_case "keychain: sign/verify" `Quick test_sign_verify;
     Alcotest.test_case "keychain: forgery rejected" `Quick test_forgery_rejected;
     Alcotest.test_case "keychain: cross-process rejected" `Quick
@@ -180,4 +318,6 @@ let suite =
     Alcotest.test_case "keychain: wire codec round trip" `Quick test_signature_codec;
     Alcotest.test_case "keychain: garbage decode rejected" `Quick test_decode_garbage;
     Alcotest.test_case "keychain: hooks count operations" `Quick test_hooks_count;
+    Alcotest.test_case "keychain: memo keeps verdicts" `Quick test_memo_same_verdicts;
+    Alcotest.test_case "keychain: verify counters" `Quick test_verify_counters;
   ]
