@@ -292,7 +292,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_digest_shape;
     QCheck_alcotest.to_alcotest qcheck_distinct_inputs_distinct_digests;
     QCheck_alcotest.to_alcotest qcheck_hmac_key_separation;
-    QCheck_alcotest.to_alcotest qcheck_keyed_matches_mac;
     QCheck_alcotest.to_alcotest qcheck_signature_roundtrip;
     Alcotest.test_case "sha256: empty string" `Quick test_sha256_empty;
     Alcotest.test_case "sha256: abc" `Quick test_sha256_abc;
@@ -304,13 +303,7 @@ let suite =
     Alcotest.test_case "hmac: RFC 4231 case 1" `Quick test_hmac_rfc4231_1;
     Alcotest.test_case "hmac: RFC 4231 case 2" `Quick test_hmac_rfc4231_2;
     Alcotest.test_case "hmac: RFC 4231 case 3" `Quick test_hmac_rfc4231_3;
-    Alcotest.test_case "hmac: RFC 4231 case 4" `Quick test_hmac_rfc4231_4;
     Alcotest.test_case "hmac: RFC 4231 case 6 (long key)" `Quick test_hmac_rfc4231_6;
-    Alcotest.test_case "hmac: RFC 4231 case 7 (long key and data)" `Quick
-      test_hmac_rfc4231_7;
-    Alcotest.test_case "hmac: keyed pads match RFC 4231" `Quick test_hmac_keyed_rfc4231;
-    Alcotest.test_case "sha256: copy evolves independently" `Quick
-      test_sha256_copy_independent;
     Alcotest.test_case "keychain: sign/verify" `Quick test_sign_verify;
     Alcotest.test_case "keychain: forgery rejected" `Quick test_forgery_rejected;
     Alcotest.test_case "keychain: cross-process rejected" `Quick
@@ -318,6 +311,13 @@ let suite =
     Alcotest.test_case "keychain: wire codec round trip" `Quick test_signature_codec;
     Alcotest.test_case "keychain: garbage decode rejected" `Quick test_decode_garbage;
     Alcotest.test_case "keychain: hooks count operations" `Quick test_hooks_count;
+    QCheck_alcotest.to_alcotest qcheck_keyed_matches_mac;
+    Alcotest.test_case "hmac: RFC 4231 case 4" `Quick test_hmac_rfc4231_4;
+    Alcotest.test_case "hmac: RFC 4231 case 7 (long key and data)" `Quick
+      test_hmac_rfc4231_7;
+    Alcotest.test_case "hmac: keyed pads match RFC 4231" `Quick test_hmac_keyed_rfc4231;
+    Alcotest.test_case "sha256: copy evolves independently" `Quick
+      test_sha256_copy_independent;
     Alcotest.test_case "keychain: memo keeps verdicts" `Quick test_memo_same_verdicts;
     Alcotest.test_case "keychain: verify counters" `Quick test_verify_counters;
   ]
