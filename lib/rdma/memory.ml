@@ -85,6 +85,11 @@ type t = {
   (* latest apply instant assigned to any write on this memory — the
      control plane (permission changes) drains up to here *)
   mutable data_horizon : float;
+  (* permission changes arrived but still draining, and the writes that
+     arrived meanwhile (newest first): they are decided only once the
+     last pending change has applied *)
+  mutable controls_draining : int;
+  mutable held_writes : (unit -> unit) list;
 }
 
 let create ?(one_way = 1.0) ?(legal_change = Permission.static_permissions)
@@ -106,6 +111,8 @@ let create ?(one_way = 1.0) ?(legal_change = Permission.static_permissions)
     ord_rng = Random.State.make [| 0x6f7264; seed; mid |];
     qps = Hashtbl.create 8;
     data_horizon = 0.0;
+    controls_draining = 0;
+    held_writes = [];
   }
 
 let ordering t = t.ordering
@@ -237,6 +244,8 @@ let restart ?(rejoin = `Genesis) t =
      control-plane drain horizon reset with the reboot. *)
   Hashtbl.reset t.qps;
   t.data_horizon <- 0.0;
+  t.controls_draining <- 0;
+  t.held_writes <- [];
   Stats.bump t.stats "mem.restarts";
   emit t (Event.Mem_restart { mid = t.mid; epoch = t.epoch })
 
@@ -271,7 +280,10 @@ let qp_state t ~from =
                      [qp.floor] (IB read-after-write ordering); control
                      verbs drain [data_horizon] before applying, as a
                      memory-registration change completes outstanding
-                     DMA first.
+                     DMA first, and a write arriving during that drain
+                     is decided only after the change applies (so a
+                     deposed writer naks rather than being acked with
+                     bytes that land after the successor's reads).
      reordered-qp    data ops decide+apply at max(now + d, qp.floor);
                      the response follows one-way after the perturbed
                      apply, so a completion still implies delivery;
@@ -315,22 +327,36 @@ let operation t ~span_name ~from ~cls decide =
             let q = qp_state t ~from in
             match cls with
             | `Write ->
-                let r, mutation = decide () in
-                let lag = Random.State.float t.ord_rng max_lag in
-                (match mutation with
-                | Some m ->
-                    let apply_at = Float.max (now +. lag) q.floor in
-                    q.floor <- apply_at;
-                    q.horizon <- Float.max q.horizon apply_at;
-                    t.data_horizon <- Float.max t.data_horizon apply_at;
-                    if apply_at > now then Prof.bump "mem.ops.lagged" 1;
-                    at_instant apply_at m
-                | None -> ());
-                complete r
+                let write () =
+                  let now = Engine.now t.engine in
+                  let r, mutation = decide () in
+                  let lag = Random.State.float t.ord_rng max_lag in
+                  (match mutation with
+                  | Some m ->
+                      let apply_at = Float.max (now +. lag) q.floor in
+                      q.floor <- apply_at;
+                      q.horizon <- Float.max q.horizon apply_at;
+                      t.data_horizon <- Float.max t.data_horizon apply_at;
+                      if apply_at > now then Prof.bump "mem.ops.lagged" 1;
+                      at_instant apply_at m
+                  | None -> ());
+                  complete r
+                in
+                if t.controls_draining > 0 then
+                  t.held_writes <- write :: t.held_writes
+                else write ()
             | `Read -> at_instant (Float.max now q.floor) (fun () ->
                 complete (decide_apply ()))
-            | `Control -> at_instant (Float.max now t.data_horizon) (fun () ->
-                complete (decide_apply ()))
+            | `Control ->
+                t.controls_draining <- t.controls_draining + 1;
+                at_instant (Float.max now t.data_horizon) (fun () ->
+                    complete (decide_apply ());
+                    t.controls_draining <- t.controls_draining - 1;
+                    if t.controls_draining = 0 then begin
+                      let held = List.rev t.held_writes in
+                      t.held_writes <- [];
+                      List.iter (fun write -> write ()) held
+                    end)
             | `Fence ->
                 Prof.bump "mem.fences" 1;
                 at_instant (Float.max now q.horizon) (fun () ->

@@ -487,6 +487,28 @@ let test_recovery_swmr () = recovery_batch "swmr-recovery"
    with a recovery, so a larger batch reaches the 100-schedule floor *)
 let test_recovery_pmp_multi () = recovery_batch ~runs:220 "pmp-multi-recovery"
 
+(* Completion-lag regressions: each case seed's schedule deposes a
+   leader while the memory is still draining lagged writes.  A write
+   arriving inside the drain used to be acked under the old permission
+   with bytes landing after the successor's takeover reads, so the old
+   and new leaders committed different entries at one index (pmp) or
+   served a stale read (velos). *)
+let drain_window_case name case_seed () =
+  let s = get_scenario name in
+  let options =
+    { Explore.default_options with runs = 1; seed = case_seed; adversary = true }
+  in
+  let batch = Explore.explore ~options s in
+  let show (f : Explore.failure) =
+    String.concat ", "
+      (List.map Oracle.violation_to_string f.outcome.Scenario.violations)
+  in
+  Alcotest.(check (list string))
+    (Printf.sprintf "%s case seed %d holds every invariant" name case_seed)
+    []
+    (List.map show batch.failures);
+  Alcotest.(check int) "the case ran" 1 batch.passed
+
 let suite =
   [
     Alcotest.test_case "fault codec round trip" `Quick test_codec_round_trip;
@@ -524,4 +546,10 @@ let suite =
       test_recovery_swmr;
     Alcotest.test_case "pmp-multi-recovery repair invariant (220 runs)" `Slow
       test_recovery_pmp_multi;
+    Alcotest.test_case "smr-pmp-recovery drain window (case 252423313)" `Quick
+      (drain_window_case "smr-pmp-recovery" 252423313);
+    Alcotest.test_case "smr-velos-recovery drain window (case 218349244)" `Quick
+      (drain_window_case "smr-velos-recovery" 218349244);
+    Alcotest.test_case "smr-velos-recovery drain window (case 603147891)" `Quick
+      (drain_window_case "smr-velos-recovery" 603147891);
   ]

@@ -164,6 +164,42 @@ let test_control_drains_data () =
         "the pre-revocation write landed before the revocation" (Some "v")
         (Memory.peek_register mem "x"))
 
+(* The drain window is the completion fallacy's other edge: a write
+   that arrives while a permission change is still draining must be
+   decided under the permission that change installs.  Deciding it at
+   arrival acked the deposed writer while its bytes landed after the
+   successor's takeover reads -- the old leader counted an entry as
+   committed that the new leader never saw. *)
+let test_write_in_drain_window_naks () =
+  let legal_change ~pid ~region:_ ~current:_ ~requested =
+    Permission.sole_writer requested = Some pid
+  in
+  let engine, mem =
+    make_memory ~legal_change
+      ~ordering:(Ordering.Completion_lag { max_lag = 50.0 })
+      ()
+  in
+  Memory.add_region mem ~name:"r"
+    ~perm:(Permission.exclusive_writer ~writer:0 ~n:2)
+    ~registers:[ "x" ];
+  in_fiber engine (fun () ->
+      let w = Ivar.await (Memory.write_async mem ~from:0 ~region:"r" ~reg:"x" "v") in
+      Alcotest.check op_result "owner's write acks" Memory.Ack w;
+      (* p1's takeover arrives at 3.0 and drains until ~40.55 *)
+      let c =
+        Memory.change_permission_async mem ~from:1 ~region:"r"
+          ~perm:(Permission.exclusive_writer ~writer:1 ~n:2)
+      in
+      Engine.sleep 1.0;
+      (* the deposed owner's next write arrives at 4.0, inside the drain *)
+      let late = Memory.write_async mem ~from:0 ~region:"r" ~reg:"x" "late" in
+      Alcotest.check op_result "takeover applied" Memory.Ack (Ivar.await c);
+      Alcotest.check op_result "write arriving mid-drain naks" Memory.Nak
+        (Ivar.await late);
+      Engine.sleep 100.0;
+      Alcotest.(check (option string)) "its bytes never land" (Some "v")
+        (Memory.peek_register mem "x"))
+
 (* Satellite: a lagged write never crosses a restart.  The completion
    was delivered, but the memory crashes before the apply instant; the
    epoch guard drops the in-flight mutation, so the rejoined (empty)
@@ -334,4 +370,6 @@ let suite =
     Alcotest.test_case "memclient fences free under strict" `Quick
       test_memclient_fence_strict_free;
     Alcotest.test_case "cluster-wide set_ordering" `Quick test_cluster_set_ordering;
+    Alcotest.test_case "completion-lag: write arriving mid-drain naks" `Quick
+      test_write_in_drain_window_naks;
   ]
