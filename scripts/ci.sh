@@ -227,6 +227,23 @@ dune exec bin/rdma_agreement.exe -- run smr --engine pmp -n 3 -m 3 --seed 7 \
 cmp test/fixtures/RUN_smr_pmp_seed7.out "$tmp/smr-pmp.out"
 echo "pmp fixed-seed output matches the pre-refactor fixture"
 
+# The shared replicated-log kernel is pinned the same way: velos's
+# fixed-seed run, plus both engines' adversarial crash/recover batches
+# (recovery, repair and checkpoint paths) — verdict bytes and merged
+# metrics, which carry every memory-op, fence and message counter.
+dune exec bin/rdma_agreement.exe -- run smr --engine velos -n 3 -m 3 --seed 7 \
+  > "$tmp/smr-velos.out"
+cmp test/fixtures/RUN_smr_velos_seed7.out "$tmp/smr-velos.out"
+for engine in pmp velos; do
+  dune exec bin/rdma_agreement.exe -- chaos explore "smr-$engine-recovery" \
+    --runs 50 --seed 1 --adversary -j 1 --metrics-out "$tmp/rec-$engine.json" \
+    > "$tmp/rec-$engine.out"
+  grep -v "^metrics written" "$tmp/rec-$engine.out" > "$tmp/rec-$engine.flt"
+  cmp "test/fixtures/CHAOS_smr_${engine}_recovery_seed1.out" "$tmp/rec-$engine.flt"
+  cmp "test/fixtures/CHAOS_smr_${engine}_recovery_seed1.json" "$tmp/rec-$engine.json"
+done
+echo "velos run and both engines' recovery batches match their fixtures"
+
 # The lease oracle must actually bite: the deliberately broken
 # stale-lease fixture engine (serves local reads past deposition) has
 # to be flagged on every schedule (--expect-violations inverts exit).
