@@ -350,16 +350,16 @@ let exp_d7 env =
   let open Rdma_mm in
   let open Rdma_smr in
   let cfg =
-    { Smr_log.default_config with replicas = 3; max_entries = 32; serve_until = 600.0 }
+    { Consensus_engine.default_config with replicas = 3; max_entries = 32; serve_until = 600.0 }
   in
   let crash_at = 10.0 in
   let cluster : string Cluster.t =
     Cluster.create ~legal_change:(Smr_log.legal_change cfg)
-      ~n:(cfg.Smr_log.replicas + 1) ~m:3 ()
+      ~n:(cfg.Consensus_engine.replicas + 1) ~m:3 ()
   in
   Smr_log.setup_regions cluster cfg;
   let replicas =
-    Array.init cfg.Smr_log.replicas (fun pid -> Smr_log.spawn_replica cluster ~cfg ~pid ())
+    Array.init cfg.Consensus_engine.replicas (fun pid -> Smr_log.spawn_replica cluster ~cfg ~pid ())
   in
   let commits = ref [] in
   Cluster.spawn cluster ~pid:3 (fun ctx ->
@@ -761,16 +761,16 @@ let exp_r1 env =
   List.iter
     (fun checkpoint_every ->
       let cfg =
-        { Smr_log.default_config with
+        { Consensus_engine.default_config with
           replicas = 3; max_entries = 32; serve_until = 300.0; checkpoint_every }
       in
       let cluster : string Cluster.t =
         Cluster.create ~legal_change:(Smr_log.legal_change cfg)
-          ~n:(cfg.Smr_log.replicas + 1) ~m:3 ()
+          ~n:(cfg.Consensus_engine.replicas + 1) ~m:3 ()
       in
       Smr_log.setup_regions cluster cfg;
       let replicas =
-        Array.init cfg.Smr_log.replicas (fun pid ->
+        Array.init cfg.Consensus_engine.replicas (fun pid ->
             Smr_log.spawn_replica cluster ~cfg ~pid ())
       in
       Cluster.spawn cluster ~pid:3 (fun ctx ->

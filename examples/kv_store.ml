@@ -14,21 +14,21 @@ open Rdma_mm
 open Rdma_smr
 
 let cfg =
-  { Smr_log.default_config with replicas = 3; max_entries = 32; serve_until = 600.0 }
+  { Consensus_engine.default_config with replicas = 3; max_entries = 32; serve_until = 600.0 }
 
 let () =
   let clients = 2 in
-  let n = cfg.Smr_log.replicas + clients in
+  let n = cfg.Consensus_engine.replicas + clients in
   let m = 3 in
   let cluster : string Cluster.t =
     Cluster.create ~legal_change:(Smr_log.legal_change cfg) ~n ~m ()
   in
   Smr_log.setup_regions cluster cfg;
   let replicas =
-    Array.init cfg.Smr_log.replicas (fun pid -> Smr_log.spawn_replica cluster ~cfg ~pid ())
+    Array.init cfg.Consensus_engine.replicas (fun pid -> Smr_log.spawn_replica cluster ~cfg ~pid ())
   in
   Fmt.pr "Replicated KV store: %d replicas, %d memories, %d clients@."
-    cfg.Smr_log.replicas m clients;
+    cfg.Consensus_engine.replicas m clients;
 
   (* client 3: writes user records, then crashes the leader, then writes
      more *)
@@ -66,7 +66,7 @@ let () =
   Cluster.check_errors cluster;
 
   Fmt.pr "@.Surviving replica logs:@.";
-  for pid = 1 to cfg.Smr_log.replicas - 1 do
+  for pid = 1 to cfg.Consensus_engine.replicas - 1 do
     let entries = Smr_log.applied_entries replicas.(pid) in
     Fmt.pr "  replica p%d applied %d entries@." pid (List.length entries)
   done;

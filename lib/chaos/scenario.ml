@@ -338,7 +338,7 @@ let all =
         exec =
           (fun ~seed ~inputs ~faults ~byzantine ~prepare ->
             Workloads.smr_recovery
-              (module Rdma_smr.Velos_engine)
+              (module Rdma_smr.Velos)
               ~lease_violation:true ~seed ~inputs
               ~faults:(Fault.Set_leader { pid = 1; at = 30.0 } :: faults)
               ~byzantine ~prepare);

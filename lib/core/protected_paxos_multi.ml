@@ -36,23 +36,12 @@ let region = "pmp-multi"
 
 let slot_reg ~instance q = Printf.sprintf "slot.%d.%d" instance q
 
-(* The checkpoint register: the decided values of the first [up_to]
-   instances, written quorum-acked by a leader AFTER those instances
-   decided, then the covered slots are truncated (batched ⊥-writes).  A
-   checkpoint read from any single replica covers only decided instances,
-   so adopting the maximum seen is safe — it lets a takeover (or a
-   restarted learner) install decisions without replaying the slots. *)
-let ckpt_reg = "ckpt"
-
-let encode_ckpt ~values = Codec.join (Codec.int_field (List.length values) :: values)
-
-let decode_ckpt s =
-  match Codec.split s with
-  | up :: values -> (
-      match Codec.int_of_field up with
-      | Some up_to when up_to = List.length values -> Some values
-      | _ -> None)
-  | [] -> None
+(* The checkpoint register (Protected_region): the decided values of
+   the first instances, written quorum-acked by a leader AFTER those
+   instances decided, then the covered slots are truncated (batched
+   ⊥-writes).  Adopting the longest checkpoint seen lets a takeover (or
+   a restarted learner) install decisions without replaying the slots. *)
+let ckpt_reg = Protected_region.ckpt_reg
 
 (* Slot contents reuse the single-shot codec. *)
 let encode_slot = Protected_paxos.encode_slot
@@ -140,39 +129,21 @@ type reign = {
   mutable adopted : (int * string) option array; (* per instance *)
 }
 
-(* State transfer to one (typically restarted) memory: take the write
-   permission there, then install everything this process knows — the
-   checkpoint of decided instances, plus its own slot above it carrying
-   the decided or takeover-adopted value — in ONE batched write,
-   stamping those registers fresh in the memory's current epoch.
-   Writing a decided value under any proposal number is safe: no other
-   value can ever be decided in that instance, and takeover reads adopt
-   the max-proposal value, which for a decided instance is always the
-   decided one.  Carrying the ADOPTED value matters for the same reason:
-   the adopted value is the only possibly-decided one our takeover read
-   observed, and a later takeover whose read quorum includes only the
-   repaired memory must still see it.
-
-   Only registers still STALE since the restart are written: a fresh
-   register was written after the rejoin — possibly by a newer leader —
-   and clobbering it with our (possibly outdated) knowledge could erase
-   an accepted value.  The staleness mask models reading the memory's
-   per-epoch valid bitmap; the batched write stays permission-guarded,
-   so if a newer leader takes permission between the mask read and the
-   write, the write naks and that leader repairs instead.
-
-   Spawned as a sub-fiber so a memory that re-crashes mid-transfer
-   cannot wedge the caller. *)
+(* State transfer to one (typically restarted) memory
+   (Protected_region.spawn_repair): install everything this process
+   knows — the checkpoint of decided instances, plus its own slot above
+   it carrying the decided or takeover-adopted value.  Writing a decided
+   value under any proposal number is safe: no other value can ever be
+   decided in that instance, and takeover reads adopt the max-proposal
+   value, which for a decided instance is always the decided one.
+   Carrying the ADOPTED value matters for the same reason: the adopted
+   value is the only possibly-decided one our takeover read observed,
+   and a later takeover whose read quorum includes only the repaired
+   memory must still see it. *)
 let spawn_repair (ctx : _ Cluster.ctx) cfg reign handle mid =
-  ctx.Cluster.spawn_sub
-    (Printf.sprintf "pmpm.repair%d" mid)
-    (fun () ->
+  Protected_region.spawn_repair ctx ~name:"pmpm.repair" ~region ~mid (fun () ->
       let n = ctx.Cluster.cluster_n in
       let me = ctx.Cluster.pid in
-      let client = ctx.Cluster.client in
-      ignore
-        (Memclient.change_permission client ~mem:mid ~region
-           ~perm:(Permission.exclusive_writer ~writer:me ~n));
       (* the consecutively decided prefix, for the checkpoint *)
       let decided = ref [] in
       (try
@@ -204,83 +175,27 @@ let spawn_repair (ctx : _ Cluster.ctx) cfg reign handle mid =
                       known )))
           (List.init cfg.slots Fun.id)
       in
-      let batch =
-        (ckpt_reg, if up_to = 0 then None else Some (encode_ckpt ~values)) :: slots
-      in
-      let stale = Memory.stale_registers (Memclient.mem client mid) ~region in
-      let batch = List.filter (fun (reg, _) -> List.mem reg stale) batch in
-      if batch <> [] then
-        match Memclient.write_many client ~mem:mid ~region ~values:batch with
-        | Memory.Ack ->
-            Stats.bump ctx.Cluster.ctx_stats "pmpm.repairs";
-            Obs.event ctx.Cluster.ctx_obs ~actor:(Printf.sprintf "p%d" me)
-              (Event.Custom
-                 { name = "pmpm.repair"; detail = Printf.sprintf "mu%d" mid })
-        | Memory.Nak -> ())
-[@@simlint.allow
-  "F1 repair bookkeeping: the Ack branch only counts the repair in \
-   telemetry; the rewritten registers are validated by the next \
-   takeover's reads, which run under a fresh permission grab that \
-   drains this write (EXPERIMENTS.md W2)"]
+      (ckpt_reg, if up_to = 0 then None else Some (Protected_region.encode_ckpt values))
+      :: slots)
 
 (* Take over: grab the permission on every memory and read the whole
-   region from a quorum.  On success, installs the reign (adopted values
-   + fresh proposal number above everything seen).
-
-   A read nak no longer dooms the takeover: a restarted memory answers
-   "I don't know" for its stale registers, so we wait for a quorum of
-   SUCCESSFUL chains and repair the nak'd memories afterwards.  The
-   highest checkpoint seen installs its decided instances directly
+   region from a quorum of successful chains (Protected_region).  On
+   success, installs the reign (adopted values + fresh proposal number
+   above everything seen) and repairs the memories whose read nak'd.
+   The highest checkpoint seen installs its decided instances directly
    (learner catch-up without slot replay). *)
 let takeover (ctx : _ Cluster.ctx) cfg reign handle =
   let n = ctx.Cluster.cluster_n in
-  let m = ctx.Cluster.cluster_m in
   let me = ctx.Cluster.pid in
-  let client = ctx.Cluster.client in
-  let f_m = match cfg.f_m with Some f -> f | None -> (m - 1) / 2 in
-  let quorum = m - f_m in
+  let quorum = Protected_region.quorum ctx cfg.f_m in
   let regs = ckpt_reg :: all_registers cfg n in
-  let chains = Array.init m (fun _ -> Ivar.create ()) in
-  for i = 0 to m - 1 do
-    ctx.Cluster.spawn_sub
-      (Printf.sprintf "pmpm.takeover%d" i)
-      (fun () ->
-        ignore
-          (Memclient.change_permission client ~mem:i ~region
-             ~perm:(Permission.exclusive_writer ~writer:me ~n));
-        match
-          Ivar.await (Memory.read_many_async (Memclient.mem client i) ~from:me ~region ~regs)
-        with
-        | Memory.Read_many values -> Ivar.fill chains.(i) (Some values)
-        | Memory.Read_many_nak -> Ivar.fill chains.(i) None)
-  done;
-  let rec gather k =
-    if k > m then None
-    else begin
-      let completed = Par.await_k chains k in
-      let failed =
-        List.filter_map (fun (i, v) -> if v = None then Some i else None) completed
-      in
-      let ok =
-        List.filter_map (fun (i, v) -> Option.map (fun vs -> (i, vs)) v) completed
-      in
-      if List.length ok >= quorum then Some (ok, failed)
-      else gather (quorum + List.length failed)
-    end
-  in
-  match gather quorum with
+  match
+    Protected_region.takeover_read ctx ~fiber:"pmpm.takeover" ~region ~regs ~quorum
+  with
   | None -> false
   | Some (ok, failed) ->
       (* Adopt the highest checkpoint seen: its instances are decided, so
          install them locally and re-announce for the other learners. *)
-      let ckpt = ref [] in
-      List.iter
-        (fun (_, values) ->
-          if Array.length values > 0 then
-            match Option.bind values.(0) decode_ckpt with
-            | Some vs when List.length vs > List.length !ckpt -> ckpt := vs
-            | _ -> ())
-        ok;
       List.iteri
         (fun instance value ->
           if instance < cfg.slots then begin
@@ -289,7 +204,7 @@ let takeover (ctx : _ Cluster.ctx) cfg reign handle =
                  { Report.value; at = Engine.now ctx.Cluster.ctx_engine });
             Network.broadcast ctx.Cluster.ep (encode_decide ~instance ~value)
           end)
-        !ckpt;
+        (Protected_region.max_ckpt ok);
       let adopted = Array.make cfg.slots None in
       let max_seen = ref 0 in
       List.iter
@@ -327,9 +242,7 @@ let takeover (ctx : _ Cluster.ctx) cfg reign handle =
 (* Decide one instance under an active reign: a single replicated write.
    Returns false (and ends the reign) on any nak. *)
 let fast_decide (ctx : _ Cluster.ctx) cfg reign ~instance ~input decision =
-  let m = ctx.Cluster.cluster_m in
-  let f_m = match cfg.f_m with Some f -> f | None -> (m - 1) / 2 in
-  let quorum = m - f_m in
+  let quorum = Protected_region.quorum ctx cfg.f_m in
   let value =
     match reign.adopted.(instance) with Some (_, v) -> v | None -> input
   in
@@ -364,9 +277,7 @@ let program (ctx : _ Cluster.ctx) cfg ~input_for handle =
     }
   in
   let n = ctx.Cluster.cluster_n in
-  let m = ctx.Cluster.cluster_m in
-  let f_m = match cfg.f_m with Some f -> f | None -> (m - 1) / 2 in
-  let quorum = m - f_m in
+  let quorum = Protected_region.quorum ctx cfg.f_m in
   (* Once [checkpoint_every] instances have decided past the last
      checkpoint (and we still hold the reign): write the checkpoint
      register quorum-acked, then truncate the covered slots with one
@@ -384,27 +295,15 @@ let program (ctx : _ Cluster.ctx) cfg ~input_for handle =
             | Some d -> d.Report.value
             | None -> "" (* unreachable: instances decide strictly in order *))
       in
-      let writes =
-        Memclient.write_all_async ctx.Cluster.client ~region ~reg:ckpt_reg
-          (encode_ckpt ~values)
+      let covered =
+        List.concat_map
+          (fun i -> List.init n (fun q -> slot_reg ~instance:i q))
+          (List.init decided Fun.id)
       in
-      let completed = Par.await_k writes quorum in
-      if List.for_all (fun (_, w) -> w = Memory.Ack) completed then begin
-        let nones =
-          List.concat_map
-            (fun i -> List.init n (fun q -> (slot_reg ~instance:i q, None)))
-            (List.init decided Fun.id)
-        in
-        let truncs =
-          Array.init m (fun i ->
-              Memory.write_many_async
-                (Memclient.mem ctx.Cluster.client i)
-                ~from:ctx.Cluster.pid ~region ~values:nones)
-        in
-        ignore (Par.await_k truncs quorum);
-        last_ckpt := decided;
-        Stats.bump ctx.Cluster.ctx_stats "pmpm.checkpoints"
-      end
+      if
+        Protected_region.checkpoint ctx ~name:"pmpm.checkpoint" ~region ~quorum
+          ~covered values
+      then last_ckpt := decided
       else reign.active <- false
     end
   in

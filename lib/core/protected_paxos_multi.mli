@@ -15,12 +15,9 @@ val slot_reg : instance:int -> int -> string
 (** The checkpoint register: the decided values of a prefix of instances,
     written quorum-acked only after they decided; the covered slots are
     then truncated.  A takeover (or a repair) installs the checkpoint
-    instead of replaying the slots. *)
+    instead of replaying the slots.  Encoded with
+    {!Protected_region.encode_ckpt}. *)
 val ckpt_reg : string
-
-val encode_ckpt : values:string list -> string
-
-val decode_ckpt : string -> string list option
 
 val legal_change : Permission.legal_change
 

@@ -6,8 +6,8 @@
     ({!Kv}, {!Lock_service}) and the chaos workloads consume.  Two
     engines ship today: ["pmp"] ({!Smr_log}, the Mu-style log on the
     Protected Memory Paxos permission discipline) and ["velos"]
-    ({!Velos_engine}, one-sided Paxos with passive memory replicas and
-    leader leases on virtual time). *)
+    ({!Velos}, one-sided Paxos with passive memory replicas and leader
+    leases on virtual time), both built on {!Log_kernel}. *)
 
 open Rdma_mm
 open Rdma_mem

@@ -5,7 +5,7 @@
    hard-coding engine names. *)
 
 let all : Consensus_engine.engine list =
-  [ (module Smr_log); (module Velos_engine) ]
+  [ (module Smr_log); (module Velos) ]
 
 let names = List.map (fun (module E : Consensus_engine.S) -> E.name) all
 

@@ -9,15 +9,15 @@
 
    Leader change: the new leader takes the exclusive write permission on
    every memory, reads a majority of log replicas, adopts for every slot
-   the value with the highest term (any committed slot is preserved: the
-   read majority intersects the commit majority, and by induction every
-   replica holding a term ≥ the committing term holds the committed
-   command), rewrites the adopted prefix under its own term, and resumes
-   serving.
+   the value with the highest term, rewrites the adopted prefix under
+   its own term, and resumes serving (Log_kernel.takeover/rewrite).
 
    Commands reach the leader as network messages from clients (who are
    extra processes on the same simulated network); committed entries are
-   announced to the other replicas, which apply them in order. *)
+   announced to the other replicas, which apply them in order.  What
+   this engine shares with Velos lives in Log_kernel; kept here are the
+   single-write commit with its Commit broadcast, the follower applier,
+   snapshot catch-up and anti-entropy, and the lease-confirm read. *)
 
 open Rdma_sim
 open Rdma_mem
@@ -26,693 +26,217 @@ open Rdma_mm
 open Rdma_obs
 open Rdma_consensus
 
-let region = "smr"
-
-let entry_reg i = Printf.sprintf "e.%d" i
-
-(* The checkpoint register: a quorum-acked snapshot of the committed
-   prefix — [up_to] plus the stored entry strings 1..up_to.  Entries
-   below the checkpoint may be truncated from the log; any reader holding
-   the checkpoint needs none of them.  The register is only ever written
-   AFTER the entries it covers were committed (quorum-acked), so a value
-   read from ANY single replica covers only committed entries and
-   adopting the maximum seen is safe. *)
-let ckpt_reg = "ckpt"
-
-let encode_ckpt ~up_to ~entries = Codec.join (Codec.int_field up_to :: entries)
-
-let decode_ckpt s =
-  match Codec.split s with
-  | up :: entries ->
-      Option.map (fun up_to -> (up_to, entries)) (Codec.int_of_field up)
-  | [] -> None
-
-let encode_entry ~term ~cmd = Codec.join2 (Codec.int_field term) cmd
-
-let decode_entry s =
-  match Codec.split2 s with
-  | None -> None
-  | Some (tf, cmd) -> Option.map (fun term -> (term, cmd)) (Codec.int_of_field tf)
-
-(* Commands are stored with their (client, seq) origin so that a new
-   leader can rebuild the duplicate-suppression table from the log and a
-   retried request is acknowledged rather than re-appended. *)
-let encode_cmd_meta ~client ~seq ~cmd =
-  Codec.join3 (Codec.int_field client) (Codec.int_field seq) cmd
-
-let decode_cmd_meta s =
-  match Codec.split3 s with
-  | None -> None
-  | Some (cf, qf, cmd) -> (
-      match (Codec.int_of_field cf, Codec.int_of_field qf) with
-      | Some client, Some seq -> Some (client, seq, cmd)
-      | _ -> None)
-
-(* Client/replica messages. *)
-type msg =
-  | Request of { client : int; seq : int; cmd : string }
-  | Ack of { client : int; seq : int; index : int }
-  | Commit of { index : int; cmd : string }
-  | Read_request of { client : int; seq : int }
-  | Read_reply of { client : int; seq : int; up_to : int }
-  | Catch_up of { pid : int }
-  | Snapshot of { up_to : int; entries : string list }
-
-let encode_msg = function
-  | Request { client; seq; cmd } ->
-      Codec.join [ "req"; Codec.int_field client; Codec.int_field seq; cmd ]
-  | Ack { client; seq; index } ->
-      Codec.join [ "ack"; Codec.int_field client; Codec.int_field seq;
-        Codec.int_field index ]
-  | Commit { index; cmd } -> Codec.join [ "com"; Codec.int_field index; cmd ]
-  | Read_request { client; seq } ->
-      Codec.join [ "rdq"; Codec.int_field client; Codec.int_field seq ]
-  | Read_reply { client; seq; up_to } ->
-      Codec.join [ "rdr"; Codec.int_field client; Codec.int_field seq;
-        Codec.int_field up_to ]
-  | Catch_up { pid } -> Codec.join [ "cup"; Codec.int_field pid ]
-  | Snapshot { up_to; entries } ->
-      Codec.join ("snp" :: Codec.int_field up_to :: entries)
-
-let decode_msg s =
-  match Codec.split s with
-  | [ "req"; c; q; cmd ] -> (
-      match (Codec.int_of_field c, Codec.int_of_field q) with
-      | Some client, Some seq -> Some (Request { client; seq; cmd })
-      | _ -> None)
-  | [ "ack"; c; q; i ] -> (
-      match (Codec.int_of_field c, Codec.int_of_field q, Codec.int_of_field i) with
-      | Some client, Some seq, Some index -> Some (Ack { client; seq; index })
-      | _ -> None)
-  | [ "com"; i; cmd ] ->
-      Option.map (fun index -> Commit { index; cmd }) (Codec.int_of_field i)
-  | [ "rdq"; c; q ] -> (
-      match (Codec.int_of_field c, Codec.int_of_field q) with
-      | Some client, Some seq -> Some (Read_request { client; seq })
-      | _ -> None)
-  | [ "rdr"; c; q; u ] -> (
-      match (Codec.int_of_field c, Codec.int_of_field q, Codec.int_of_field u) with
-      | Some client, Some seq, Some up_to -> Some (Read_reply { client; seq; up_to })
-      | _ -> None)
-  | [ "cup"; p ] -> Option.map (fun pid -> Catch_up { pid }) (Codec.int_of_field p)
-  | "snp" :: u :: entries ->
-      Option.map (fun up_to -> Snapshot { up_to; entries }) (Codec.int_of_field u)
-  | _ -> None
-
-(* The engine-shared configuration record (re-exported so existing
-   [Smr_log.config] users compile unchanged).  The lease knobs are
-   velos-specific and ignored here; [anti_entropy_every = 0.] (the
-   default) preserves this engine's pre-refactor behaviour exactly. *)
-type config = Consensus_engine.config = {
-  replicas : int; (* replicas are processes 0 .. replicas-1 *)
-  max_entries : int;
-  f_m : int option;
-  max_terms : int;
-  serve_until : float;
-      (* virtual time at which replicas stop serving, so a simulation run
-         quiesces; clients finish their workload well before *)
-  checkpoint_every : int;
-      (* write a checkpoint (and truncate the log below it) every this
-         many committed entries; 0 disables checkpointing *)
-  anti_entropy_every : float;
-      (* > 0.: every follower periodically asks the leader for a
-         snapshot when its apply stream stalls, so commits missed during
-         a partition are healed; 0. = pre-refactor behaviour (only
-         restarted replicas catch up) *)
-  lease_duration : float; (* velos-only; ignored here *)
-  lease_violation : bool; (* velos-only; ignored here *)
-}
-
 let name = "pmp"
 
 let descr =
   "Mu-style log on Protected Memory Paxos: permission-switched leader, \
    1 replicated write per append, quorum lease write per read"
 
-let default_config = Consensus_engine.default_config
+let region = "smr"
 
-(* Only replicas may take the log's exclusive write permission. *)
-let legal_change cfg : Permission.legal_change =
- fun ~pid ~region:r ~current:_ ~requested ->
-  r = region
-  && pid < cfg.replicas
-  && Permission.sole_writer requested = Some pid
-
+(* The reign-proof register: a permission-protected write here naks iff
+   a rival grabbed the permission. *)
 let lease_reg = "lease"
 
-let setup_regions cluster cfg =
-  let n = Cluster.n cluster in
-  Cluster.add_region_everywhere cluster ~name:region
-    ~perm:(Permission.exclusive_writer ~writer:0 ~n)
-    ~registers:
-      (ckpt_reg :: lease_reg
-       :: List.init cfg.max_entries (fun i -> entry_reg (i + 1)))
+let legal_change = Log_kernel.legal_change ~region
 
-type replica = {
-  pid : int;
-  cfg : config;
-  applied : (int * string) Queue.t; (* (index, cmd) in application order *)
-  mutable applied_up_to : int;
-  mutable current_term : int;
-  mutable stopped : bool;
+let setup_regions cluster cfg =
+  Log_kernel.setup_regions ~region ~header:[ Protected_region.ckpt_reg; lease_reg ]
+    cluster cfg
+
+type ext = {
   mutable caught_up : bool; (* a restarted replica has received a snapshot *)
-  mutable subscribed : bool; (* telemetry subscription installed once *)
   pending : (int * string) Mailbox.t; (* decoded Commit messages *)
-  requests : (int * int * string) Mailbox.t; (* client, seq, cmd *)
-  reads : (int * int) Mailbox.t; (* client, seq *)
-  rejoin : int Mailbox.t; (* restarted memories awaiting state transfer *)
   catchups : int Mailbox.t; (* restarted replicas awaiting a snapshot *)
-  mutable commit_subs : (index:int -> cmd:string -> unit) list;
-  mutable recover_subs : (term:int -> unit) list;
 }
 
-let applied_entries r =
-  Queue.fold (fun acc e -> e :: acc) [] r.applied |> List.rev
+type replica = ext Log_kernel.replica
 
-let applied_count r = r.applied_up_to
+include Log_kernel.Accessors
 
-let current_term r = r.current_term
-
-let on_commit r f = r.commit_subs <- f :: r.commit_subs
-
-let on_recover r f = r.recover_subs <- f :: r.recover_subs
-
-let apply_entry r ~index ~cmd =
-  if index = r.applied_up_to + 1 then begin
-    Queue.push (index, cmd) r.applied;
-    r.applied_up_to <- index;
-    List.iter (fun f -> f ~index ~cmd) r.commit_subs
-  end
-
-(* Route incoming messages by role. *)
-let pump (ctx : _ Cluster.ctx) r =
-  while not r.stopped do
-    let from, payload = Network.recv ctx.Cluster.ep in
-    match decode_msg payload with
-    | Some (Request { client; seq; cmd }) -> Mailbox.send r.requests (client, seq, cmd)
-    | Some (Commit { index; cmd }) -> Mailbox.send r.pending (index, cmd)
-    | Some (Read_request { client; seq }) -> Mailbox.send r.reads (client, seq)
-    | Some (Catch_up { pid }) -> Mailbox.send r.catchups pid
-    | Some (Snapshot { up_to = _; entries }) ->
-        (* Install the leader's snapshot: apply the committed prefix we
-           are missing wholesale — no log replay. *)
-        r.caught_up <- true;
-        List.iteri
-          (fun i stored ->
-            let index = i + 1 in
-            if index > r.applied_up_to then begin
-              let cmd =
-                match decode_cmd_meta stored with
-                | Some (_, _, cmd) -> cmd
-                | None -> stored
-              in
-              apply_entry r ~index ~cmd
-            end)
-          entries
-    | Some (Ack _) | Some (Read_reply _) | None -> ignore from
-  done
+(* Route replica-to-replica messages (client ones go through the
+   kernel's pump). *)
+let other (r : replica) (msg : Log_kernel.msg) =
+  match msg with
+  | Commit { index; cmd } -> Mailbox.send r.ext.pending (index, cmd)
+  | Catch_up { pid } -> Mailbox.send r.ext.catchups pid
+  | Snapshot { up_to = _; entries } ->
+      (* Install the leader's snapshot. *)
+      r.ext.caught_up <- true;
+      Log_kernel.install r entries
+  | Request _ | Ack _ | Read_request _ | Read_reply _ -> ()
 
 (* Followers apply committed entries in order (buffering gaps). *)
-let applier r =
+let applier (r : replica) =
   let buffer = Hashtbl.create 32 in
   while not r.stopped do
-    let index, cmd = Mailbox.recv r.pending in
+    let index, cmd = Mailbox.recv r.ext.pending in
     Hashtbl.replace buffer index cmd;
     let continue = ref true in
     while !continue do
       match Hashtbl.find_opt buffer (r.applied_up_to + 1) with
       | Some cmd ->
           Hashtbl.remove buffer (r.applied_up_to + 1);
-          apply_entry r ~index:(r.applied_up_to + 1) ~cmd
+          Log_kernel.apply_entry r ~index:(r.applied_up_to + 1) ~cmd
       | None -> continue := false
     done
   done
 
-(* State transfer to one (typically restarted) memory: take the write
-   permission there, then install the leader's full view of the region —
-   checkpoint, log entries, lease — in ONE batched write, which stamps
-   every register fresh in the memory's current epoch
-   ([Memory.stale_registers] becomes empty).
+(* State transfer to a restarted memory: checkpoint, the lease register
+   and the log, masked to what is still stale there. *)
+let spawn_repair ctx (r : replica) ~term ~up_to ~entries ~tail mid =
+  Log_kernel.spawn_repair ctx r ~term ~up_to ~entries ~tail
+    ~header:[ (lease_reg, Some (Codec.int_field term)) ]
+    mid
 
-   Only registers still STALE since the restart are written: a fresh
-   register was written after the rejoin — possibly by a newer-term
-   leader — and clobbering it with this leader's (possibly outdated)
-   view could erase a committed entry.  The staleness mask models
-   reading the memory's per-epoch valid bitmap; the batched write stays
-   permission-guarded, so if a rival takes the permission between the
-   mask read and the write, the write naks and the rival repairs
-   instead.  Spawned as a sub-fiber so a memory that re-crashes
-   mid-transfer cannot wedge the leader. *)
-let spawn_repair (ctx : _ Cluster.ctx) r ~term ~up_to ~entries ~tail mid =
-  ctx.Cluster.spawn_sub
-    (Printf.sprintf "smr.repair%d" mid)
-    (fun () ->
-      let client = ctx.Cluster.client in
-      let n = ctx.Cluster.cluster_n in
-      let (_ : Memory.op_result) =
-        Memclient.change_permission client ~mem:mid ~region
-          ~perm:(Permission.exclusive_writer ~writer:r.pid ~n)
-      in
-      let tail_tbl = Hashtbl.create 16 in
-      List.iter (fun (i, cmd) -> Hashtbl.replace tail_tbl i cmd) tail;
-      let slot i =
-        ( entry_reg i,
-          if i <= up_to then None
-          else
-            Option.map
-              (fun cmd -> encode_entry ~term ~cmd)
-              (Hashtbl.find_opt tail_tbl i) )
-      in
-      let values =
-        (ckpt_reg, if up_to = 0 then None else Some (encode_ckpt ~up_to ~entries))
-        :: (lease_reg, Some (Codec.int_field term))
-        :: List.init r.cfg.max_entries (fun i -> slot (i + 1))
-      in
-      let stale = Memory.stale_registers (Memclient.mem client mid) ~region in
-      let values = List.filter (fun (reg, _) -> List.mem reg stale) values in
-      if values <> [] then
-        match Memclient.write_many client ~mem:mid ~region ~values with
-        | Memory.Ack ->
-            Stats.bump ctx.Cluster.ctx_stats "smr.repairs";
-            Obs.event ctx.Cluster.ctx_obs ~actor:(Printf.sprintf "p%d" r.pid)
-              (Event.Custom
-                 { name = "smr.repair"; detail = Printf.sprintf "mu%d" mid })
-        | Memory.Nak -> ())
-[@@simlint.allow
-  "F1 repair bookkeeping: the Ack branch only counts the repair in \
-   telemetry; the transferred state is validated by the next leader \
-   recovery's reads, which run under a fresh permission grab that \
-   drains this write (EXPERIMENTS.md W2)"]
-
-(* Leader recovery: take permissions, read a majority of replicas, adopt
-   the highest checkpoint plus max-term values per later slot, rewrite
-   them under our own term.  Returns the adopted log (dense prefix) and
-   the adopted checkpoint index, or None if deposed meanwhile.
-
-   A read nak no longer dooms the recovery: a restarted memory answers
-   "I don't know" for its stale registers (rather than serving lost state
-   as ⊥), so we wait for a quorum of SUCCESSFUL chains and repair the
-   nak'd memories with a full state transfer afterwards. *)
-let recover (ctx : _ Cluster.ctx) r ~term =
-  let cfg = r.cfg in
-  let m = ctx.Cluster.cluster_m in
-  let f_m = match cfg.f_m with Some f -> f | None -> (m - 1) / 2 in
-  let quorum = m - f_m in
-  let n = ctx.Cluster.cluster_n in
-  let client = ctx.Cluster.client in
-  let regs = ckpt_reg :: List.init cfg.max_entries (fun i -> entry_reg (i + 1)) in
-  (* per-memory chain: grab permission, read checkpoint + whole log *)
-  let chains = Array.init m (fun _ -> Ivar.create ()) in
-  for i = 0 to m - 1 do
-    ctx.Cluster.spawn_sub
-      (Printf.sprintf "smr.recover%d" i)
-      (fun () ->
-        let (_ : Memory.op_result) =
-          Memclient.change_permission client ~mem:i ~region
-            ~perm:(Permission.exclusive_writer ~writer:r.pid ~n)
-        in
-        match
-          Ivar.await
-            (Memory.read_many_async (Memclient.mem client i) ~from:r.pid ~region ~regs)
-        with
-        | Memory.Read_many values -> Ivar.fill chains.(i) (Some values)
-        | Memory.Read_many_nak -> Ivar.fill chains.(i) None)
-  done;
-  (* Gather a quorum of successful chains, tolerating naks: each round
-     waits for [quorum + failures-so-far] completions; crashed memories
-     never complete, so give up (and retry in a later term) once that
-     exceeds m. *)
-  let rec gather k =
-    if k > m then None
-    else begin
-      let completed = Par.await_k chains k in
-      let failed =
-        List.filter_map (fun (i, v) -> if v = None then Some i else None) completed
-      in
-      let ok =
-        List.filter_map (fun (i, v) -> Option.map (fun vs -> (i, vs)) v) completed
-      in
-      if List.length ok >= quorum then Some (ok, failed)
-      else gather (quorum + List.length failed)
-    end
-  in
-  match gather quorum with
+(* Leader recovery: adopt and rewrite (Log_kernel), then repair the
+   memories whose chains nak'd (they restarted and lost the log).
+   Returns the adopted log and checkpoint index, or None if deposed. *)
+let recover ctx (r : replica) ~term =
+  match Log_kernel.takeover ctx r ~header:[ Protected_region.ckpt_reg ] with
   | None -> None
-  | Some (ok, failed) ->
-      (* Adopt the highest checkpoint seen: it covers only committed
-         entries (written quorum-acked before any truncation), and the
-         read quorum intersects the checkpoint's write quorum. *)
-      let base = ref 0 in
-      let base_entries = ref [] in
-      List.iter
-        (fun (_, values) ->
-          match Array.length values with
-          | 0 -> ()
-          | _ -> (
-              match Option.bind values.(0) decode_ckpt with
-              | Some (up_to, entries) when up_to > !base ->
-                  base := up_to;
-                  base_entries := entries
-              | _ -> ()))
-        ok;
-      let base = !base in
-      (* Per-slot max-term adoption above the checkpoint (values below it
-         may be truncated away and are covered by the checkpoint). *)
-      let adopted = Array.make cfg.max_entries None in
-      List.iter
-        (fun (_, values) ->
-          Array.iteri
-            (fun j v ->
-              if j > 0 then begin
-                let idx = j - 1 in
-                if idx >= base then
-                  match Option.bind v decode_entry with
-                  | None -> ()
-                  | Some (t, cmd) -> (
-                      match adopted.(idx) with
-                      | Some (t0, _) when t0 >= t -> ()
-                      | _ -> adopted.(idx) <- Some (t, cmd))
-              end)
-            values)
-        ok;
-      (* Dense adopted tail above the checkpoint. *)
-      let tail = ref [] in
-      (try
-         for idx = base to cfg.max_entries - 1 do
-           match adopted.(idx) with
-           | Some (_, cmd) -> tail := (idx + 1, cmd) :: !tail
-           | None -> raise Exit
-         done
-       with Exit -> ());
-      let tail = List.rev !tail in
-      let deposed = ref false in
-      (* Re-replicate the adopted checkpoint, then rewrite the tail under
-         our term. *)
-      if base > 0 then begin
-        let writes =
-          Memclient.write_all_async client ~region ~reg:ckpt_reg
-            (encode_ckpt ~up_to:base ~entries:!base_entries)
-        in
-        let completed = Par.await_k writes quorum in
-        if not (List.for_all (fun (_, w) -> w = Memory.Ack) completed) then
-          deposed := true
-      end;
-      List.iter
-        (fun (index, cmd) ->
-          if not !deposed then begin
-            let writes =
-              Memclient.write_all_async client ~region ~reg:(entry_reg index)
-                (encode_entry ~term ~cmd)
-            in
-            let completed = Par.await_k writes quorum in
-            if not (List.for_all (fun (_, w) -> w = Memory.Ack) completed) then
-              deposed := true
-          end)
-        tail;
-      if !deposed then None
+  | Some a ->
+      if not (Log_kernel.rewrite ctx r ~term a) then None
       else begin
-        (* State-transfer repair of the memories whose chains nak'd (they
-           restarted and lost the log). *)
         List.iter
-          (fun mid -> spawn_repair ctx r ~term ~up_to:base ~entries:!base_entries ~tail mid)
-          failed;
-        let prefix = List.mapi (fun i e -> (i + 1, e)) !base_entries @ tail in
-        Some (prefix, base)
+          (fun mid ->
+            spawn_repair ctx r ~term ~up_to:a.base ~entries:a.base_entries
+              ~tail:a.tail mid)
+          a.failed;
+        Some (Log_kernel.prefix a, a.base)
       end
 
-(* Append one entry in steady state: a single replicated write; all-ack
-   majority = committed (two delays). *)
-let append (ctx : _ Cluster.ctx) r ~term ~index ~cmd =
-  let m = ctx.Cluster.cluster_m in
-  let f_m = match r.cfg.f_m with Some f -> f | None -> (m - 1) / 2 in
-  let quorum = m - f_m in
-  let writes =
-    Memclient.write_all_async ctx.Cluster.client ~region ~reg:(entry_reg index)
-      (encode_entry ~term ~cmd)
-  in
-  let completed = Par.await_k writes quorum in
-  List.for_all (fun (_, w) -> w = Memory.Ack) completed
+(* Announce a committed entry: apply it locally (via the applier) and
+   broadcast it to the followers. *)
+let deliver (ctx : _ Cluster.ctx) (r : replica) ~index ~cmd =
+  Mailbox.send r.ext.pending (index, cmd);
+  Network.broadcast ctx.Cluster.ep
+    (Log_kernel.encode_msg (Commit { index; cmd }))
 
-let leader_loop (ctx : _ Cluster.ctx) r =
+let serve (ctx : _ Cluster.ctx) (r : replica) (reign : Log_kernel.reign) =
+  r.ext.caught_up <- true;
   let ep = ctx.Cluster.ep in
-  let terms = ref 0 in
-  let continue = ref true in
-  while !continue && not r.stopped do
-    Omega.wait_until_leader ctx.Cluster.ctx_omega ~me:r.pid;
-    if r.stopped || Engine.now ctx.Cluster.ctx_engine >= r.cfg.serve_until then
-      continue := false
-    else begin
-      incr terms;
-      if !terms > r.cfg.max_terms then continue := false
-      else begin
-        let term = (!terms * r.cfg.replicas) + r.pid + 1 in
-        r.current_term <- term;
-        (* The very first reign of the initial leader: permissions are
-           still at their creation values and the log is empty — skip
-           recovery (the 2-delay fast path from the very first append).
-           A RESTARTED initial leader (now > 0) recovers like anyone
-           else. *)
-        let recovered =
-          if r.pid = 0 && !terms = 1 && Engine.now ctx.Cluster.ctx_engine = 0.0
-          then Some ([], 0)
-          else recover ctx r ~term
-        in
-        match recovered with
-        | None -> () (* deposed during recovery; wait for Ω again *)
-        | Some (prefix, ckpt_base) ->
-            r.caught_up <- true;
-            List.iter (fun f -> f ~term) r.recover_subs;
-            (* Rebuild duplicate suppression from the log, then apply and
-               announce the recovered prefix (stripped of metadata).
-               [stored] keeps the full committed log (including entries
-               covered by the checkpoint) for snapshots and repairs. *)
-            let dedup = Hashtbl.create 32 in
-            let stored = Hashtbl.create 64 in
-            let ckpt_up_to = ref ckpt_base in
-            List.iter
-              (fun (index, stored_v) ->
-                Hashtbl.replace stored index stored_v;
-                let cmd =
-                  match decode_cmd_meta stored_v with
-                  | Some (client, seq, cmd) ->
-                      Hashtbl.replace dedup (client, seq) index;
-                      cmd
-                  | None -> stored_v
-                in
-                Mailbox.send r.pending (index, cmd);
-                Network.broadcast ep (encode_msg (Commit { index; cmd })))
-              prefix;
-            let next = ref (List.length prefix + 1) in
-            let deposed = ref false in
-            let m = ctx.Cluster.cluster_m in
-            let f_m = match r.cfg.f_m with Some f -> f | None -> (m - 1) / 2 in
-            let quorum = m - f_m in
-            (* Once [checkpoint_every] entries have committed past the
-               last checkpoint: write the snapshot register (quorum-acked
-               — only then is the checkpoint allowed to exist), then
-               truncate the covered prefix with one batched ⊥-write per
-               memory. *)
-            let maybe_checkpoint () =
-              if r.cfg.checkpoint_every > 0
-                 && !next - 1 >= !ckpt_up_to + r.cfg.checkpoint_every
-              then begin
-                let up_to = !next - 1 in
-                let entries = List.init up_to (fun i -> Hashtbl.find stored (i + 1)) in
-                let writes =
-                  Memclient.write_all_async ctx.Cluster.client ~region
-                    ~reg:ckpt_reg (encode_ckpt ~up_to ~entries)
-                in
-                let completed = Par.await_k writes quorum in
-                if List.for_all (fun (_, w) -> w = Memory.Ack) completed then begin
-                  let nones = List.init up_to (fun i -> (entry_reg (i + 1), None)) in
-                  let truncs =
-                    Array.init m (fun i ->
-                        Memory.write_many_async
-                          (Memclient.mem ctx.Cluster.client i)
-                          ~from:r.pid ~region ~values:nones)
-                  in
-                  ignore (Par.await_k truncs quorum);
-                  ckpt_up_to := up_to;
-                  Stats.bump ctx.Cluster.ctx_stats "smr.checkpoints"
-                end
-                else deposed := true
-              end
-            in
-            (* A restarted memory announced itself (via the Mem_restart
-               telemetry event): transfer it a full snapshot. *)
-            let serve_rejoins () =
-              match Mailbox.drain r.rejoin with
-              | [] -> ()
-              | mids -> (
-                  (* Leadership proof before a state transfer: rewrite
-                     the term lease quorum-acked.  All-ack means we still
-                     hold write permission on a quorum, so every
-                     committed entry is ours or was adopted by our
-                     recovery — the transfer cannot mask an entry a
-                     newer-term leader committed.  On any nak we are
-                     deposed — but the nak may be the restarted memory
-                     itself (fresh epoch), not a rival, so the drained
-                     mids go BACK on the mailbox: whoever leads next
-                     (possibly this replica, re-recovered under a higher
-                     term) must still serve the transfer.  A rival that
-                     heard the same Mem_restart events repairs twice;
-                     the transfer is stale-filtered, so that is safe. *)
-                  let writes =
-                    Memclient.write_all_async ctx.Cluster.client ~region
-                      ~reg:lease_reg (Codec.int_field term)
-                  in
-                  let completed = Par.await_k writes quorum in
-                  match List.for_all (fun (_, w) -> w = Memory.Ack) completed with
-                  | false ->
-                      deposed := true;
-                      List.iter (Mailbox.send r.rejoin) mids
-                  | true ->
-                      let entries =
-                        List.init !ckpt_up_to (fun i -> Hashtbl.find stored (i + 1))
-                      in
-                      let tail =
-                        List.init (!next - 1 - !ckpt_up_to) (fun i ->
-                            let index = !ckpt_up_to + i + 1 in
-                            (index, Hashtbl.find stored index))
-                      in
-                      List.iter
-                        (fun mid ->
-                          spawn_repair ctx r ~term ~up_to:!ckpt_up_to ~entries
-                            ~tail mid)
-                        (List.sort_uniq compare mids))
-            in
-            (* A restarted replica asked to catch up: send it the whole
-               committed log as one snapshot message — it installs the
-               state instead of replaying (entries below the checkpoint
-               may no longer exist in the log anyway). *)
-            let serve_catchups () =
-              match Mailbox.drain r.catchups with
-              | [] -> ()
-              | pids ->
-                  let up_to = !next - 1 in
-                  let entries = List.init up_to (fun i -> Hashtbl.find stored (i + 1)) in
-                  List.iter
-                    (fun dst ->
-                      Network.send ep ~dst (encode_msg (Snapshot { up_to; entries })))
-                    (List.sort_uniq compare pids)
-            in
-            while (not !deposed) && (not r.stopped)
-                  && Engine.now ctx.Cluster.ctx_engine < r.cfg.serve_until
-                  && Omega.leader ctx.Cluster.ctx_omega = r.pid do
-              serve_rejoins ();
-              serve_catchups ();
-              (* Linearizable reads (Mu-style): confirm the reign is
-                 intact with one permission-protected write to a scratch
-                 lease register — it naks iff a rival grabbed the
-                 permission — then answer from local applied state. *)
-              (match Mailbox.drain r.reads with
-              | [] -> ()
-              | readers ->
-                  Prof.scope "pmp.read.lease" (fun () ->
-                      Prof.bump "smr.reads.confirmed" (List.length readers);
-                      Stats.bump ctx.Cluster.ctx_stats "smr.reads.confirm";
-                      let writes =
-                        Memclient.write_all_async ctx.Cluster.client ~region
-                          ~reg:lease_reg (Codec.int_field term)
-                      in
-                      let completed = Par.await_k writes (m - f_m) in
-                      if
-                        List.for_all (fun (_, w) -> w = Memory.Ack) completed
-                      then
-                        List.iter
-                          (fun (client, seq) ->
-                            Network.send ep ~dst:client
-                              (encode_msg
-                                 (Read_reply
-                                    { client; seq; up_to = r.applied_up_to })))
-                          readers
-                      else deposed := true));
-              match Mailbox.recv_timeout r.requests 4.0 with
-              | None -> ()
-              | Some (client_pid, seq, cmd) -> (
-                  match Hashtbl.find_opt dedup (client_pid, seq) with
-                  | Some index ->
-                      (* a retry of a committed request: just re-ack *)
-                      Network.send ep ~dst:client_pid
-                        (encode_msg (Ack { client = client_pid; seq; index }))
-                  | None ->
-                      if !next > r.cfg.max_entries then deposed := true
-                      else begin
-                        let meta = encode_cmd_meta ~client:client_pid ~seq ~cmd in
-                        if append ctx r ~term ~index:!next ~cmd:meta then begin
-                          let index = !next in
-                          incr next;
-                          Hashtbl.replace dedup (client_pid, seq) index;
-                          Hashtbl.replace stored index meta;
-                          Mailbox.send r.pending (index, cmd);
-                          Network.broadcast ep (encode_msg (Commit { index; cmd }));
-                          Network.send ep ~dst:client_pid
-                            (encode_msg (Ack { client = client_pid; seq; index }));
-                          maybe_checkpoint ()
-                        end
-                        else deposed := true
-                      end)
-            done
-      end
-    end
+  let client = ctx.Cluster.client in
+  let term = reign.term in
+  let quorum = Protected_region.quorum ctx r.cfg.f_m in
+  (* Reign proof: rewrite the term lease quorum-acked; a nak deposes. *)
+  let confirm () =
+    let writes =
+      Memclient.write_all_async client ~region ~reg:lease_reg (Codec.int_field term)
+    in
+    let ok = Protected_region.all_acked writes quorum in
+    if not ok then reign.deposed <- true;
+    ok
+  in
+  (* A restarted replica asked to catch up: send it the whole committed
+     log as one snapshot message — it installs the state instead of
+     replaying (entries below the checkpoint may no longer exist in the
+     log anyway). *)
+  let serve_catchups () =
+    match Mailbox.drain r.ext.catchups with
+    | [] -> ()
+    | pids ->
+        let up_to = reign.next - 1 in
+        let entries = List.init up_to (fun i -> Hashtbl.find reign.stored (i + 1)) in
+        List.iter
+          (fun dst ->
+            Network.send ep ~dst
+              (Log_kernel.encode_msg (Snapshot { up_to; entries })))
+          (List.sort_uniq compare pids)
+  in
+  (* Append one entry in steady state: a single replicated write; all-ack
+     majority = committed (two delays). *)
+  let append (client_pid, seq, cmd) =
+    match Hashtbl.find_opt reign.dedup (client_pid, seq) with
+    | Some index ->
+        (* a retry of a committed request: just re-ack *)
+        Log_kernel.ack ctx ~client:client_pid ~seq ~index
+    | None ->
+        if reign.next > r.cfg.max_entries then reign.deposed <- true
+        else begin
+          let meta = Log_kernel.encode_cmd_meta ~client:client_pid ~seq ~cmd in
+          let writes =
+            Memclient.write_all_async client ~region
+              ~reg:(Log_kernel.entry_reg reign.next)
+              (Log_kernel.encode_entry ~term ~cmd:meta)
+          in
+          if
+            (Protected_region.all_acked writes quorum)
+            [@simlint.allow
+              "F1 append commit point: the quorum all-ack decides the \
+               entry; a rival that could read it stale first swaps \
+               permissions, which drains this QP (DESIGN.md §12)"]
+          then begin
+            let index = reign.next in
+            reign.next <- index + 1;
+            Hashtbl.replace reign.dedup (client_pid, seq) index;
+            Hashtbl.replace reign.stored index meta;
+            deliver ctx r ~index ~cmd;
+            Log_kernel.ack ctx ~client:client_pid ~seq ~index;
+            if Log_kernel.checkpoint_due r reign then
+              Log_kernel.checkpoint ctx r reign
+          end
+          else reign.deposed <- true
+        end
+  in
+  while Log_kernel.serving ctx r reign do
+    Log_kernel.serve_rejoins r reign ~prove:confirm
+      ~repair:(spawn_repair ctx r ~term);
+    serve_catchups ();
+    (* Linearizable reads (Mu-style): confirm the reign is intact with
+       one permission-protected write to a scratch lease register — it
+       naks iff a rival grabbed the permission — then answer from local
+       applied state. *)
+    (match Mailbox.drain r.reads with
+    | [] -> ()
+    | readers ->
+        Prof.scope "pmp.read.lease" (fun () ->
+            Prof.bump "smr.reads.confirmed" (List.length readers);
+            Stats.bump ctx.Cluster.ctx_stats "smr.reads.confirm";
+            if
+              (confirm ())
+              [@simlint.allow
+                "F1 read confirm: the lease write's all-ack only proves \
+                 we still held the permission on a quorum; the reply \
+                 reports local applied state, never the lease bytes"]
+            then
+              List.iter
+                (fun (client, seq) ->
+                  Network.send ep ~dst:client
+                    (Log_kernel.encode_msg
+                       (Read_reply { client; seq; up_to = r.applied_up_to })))
+                readers));
+    match Mailbox.recv_timeout r.requests 4.0 with
+    | None -> ()
+    | Some req -> append req
   done
 
-let spawn_replica cluster ?(cfg = default_config) ~pid () =
+let spawn_replica cluster ?(cfg = Consensus_engine.default_config) ~pid () =
   let r =
-    {
-      pid;
-      cfg;
-      applied = Queue.create ();
-      applied_up_to = 0;
-      current_term = 0;
-      stopped = false;
-      caught_up = false;
-      subscribed = false;
-      pending = Mailbox.create ();
-      requests = Mailbox.create ();
-      reads = Mailbox.create ();
-      rejoin = Mailbox.create ();
-      catchups = Mailbox.create ();
-      commit_subs = [];
-      recover_subs = [];
-    }
+    Log_kernel.create ~tag:"smr" ~region ~pid cfg
+      { caught_up = false; pending = Mailbox.create (); catchups = Mailbox.create () }
   in
   Cluster.spawn cluster ~pid (fun ctx ->
       (* A (re)started replica begins from nothing: drop any pre-crash
-         state and catch up from the current leader (snapshot install) —
-         Cluster.restart_process re-runs this program from the top. *)
-      Queue.clear r.applied;
-      r.applied_up_to <- 0;
-      r.current_term <- 0;
-      r.stopped <- false;
-      r.caught_up <- false;
-      ignore (Mailbox.drain r.pending);
-      ignore (Mailbox.drain r.requests);
-      ignore (Mailbox.drain r.reads);
-      ignore (Mailbox.drain r.catchups);
-      (* Restarted-memory announcements: every replica listens, the
-         current leader acts (see serve_rejoins). *)
-      if not r.subscribed then begin
-        r.subscribed <- true;
-        Obs.subscribe ctx.Cluster.ctx_obs (fun ~at:_ ~actor:_ ev ->
-            match (ev : Event.t) with
-            | Event.Mem_restart { mid; _ } -> Mailbox.send r.rejoin mid
-            | _ -> ())
-      end;
+         state and catch up from the current leader (snapshot install). *)
+      Log_kernel.restart ctx r;
+      let ask_snapshot leader =
+        Network.send ctx.Cluster.ep ~dst:leader
+          (Log_kernel.encode_msg (Catch_up { pid = r.pid }))
+      in
+      r.ext.caught_up <- false;
+      ignore (Mailbox.drain r.ext.pending);
+      ignore (Mailbox.drain r.ext.catchups);
       (* Only a restarted replica (now > 0) needs to catch up: ask the
          current leader for a snapshot until one arrives. *)
       if Engine.now ctx.Cluster.ctx_engine > 0.0 then
         ctx.Cluster.spawn_sub "smr.catchup" (fun () ->
             while
-              (not r.stopped) && (not r.caught_up)
+              (not r.stopped) && (not r.ext.caught_up)
               && Engine.now ctx.Cluster.ctx_engine < cfg.serve_until
             do
-              let leader =
-                min (Omega.leader ctx.Cluster.ctx_omega) (cfg.replicas - 1)
-              in
-              if leader <> r.pid then
-                Network.send ctx.Cluster.ep ~dst:leader
-                  (encode_msg (Catch_up { pid = r.pid }));
+              let leader = Log_kernel.leader ctx cfg in
+              if leader <> r.pid then ask_snapshot leader;
               Engine.sleep 25.0
             done);
       (* Anti-entropy (off by default): a follower whose apply stream
@@ -728,90 +252,22 @@ let spawn_replica cluster ?(cfg = default_config) ~pid () =
               (not r.stopped) && Engine.now ctx.Cluster.ctx_engine < cfg.serve_until
             do
               Engine.sleep cfg.anti_entropy_every;
-              let leader =
-                min (Omega.leader ctx.Cluster.ctx_omega) (cfg.replicas - 1)
-              in
+              let leader = Log_kernel.leader ctx cfg in
               if (not r.stopped) && leader <> r.pid && r.applied_up_to = !last
-              then
-                Network.send ctx.Cluster.ep ~dst:leader
-                  (encode_msg (Catch_up { pid = r.pid }));
+              then ask_snapshot leader;
               last := r.applied_up_to
             done);
-      ctx.Cluster.spawn_sub "smr.pump" (fun () -> pump ctx r);
+      ctx.Cluster.spawn_sub "smr.pump" (fun () ->
+          Log_kernel.pump ctx r ~other:(other r));
       ctx.Cluster.spawn_sub "smr.applier" (fun () -> applier r);
-      leader_loop ctx r);
+      Log_kernel.lead ctx r ~recover:(recover ctx r) ~deliver:(deliver ctx r)
+        ~serve:(serve ctx r));
   r
 
-(* Stop a replica's loops (so a test's run can quiesce). *)
-let stop r = r.stopped <- true
-
-(* {2 Clients} *)
+let submit = Log_kernel.submit
 
 (* Linearizable read from a client: ask the leader; it lease-checks its
    reign and answers with its applied index. *)
-let linearizable_read (ctx : _ Cluster.ctx) ~cfg ~seq ~timeout =
-  let me = ctx.Cluster.pid in
-  let deadline = Engine.now ctx.Cluster.ctx_engine +. timeout in
-  let rec attempt () =
-    if Engine.now ctx.Cluster.ctx_engine >= deadline then None
-    else begin
-      let leader = min (Omega.leader ctx.Cluster.ctx_omega) (cfg.replicas - 1) in
-      Network.send ctx.Cluster.ep ~dst:leader
-        (encode_msg (Read_request { client = me; seq }));
-      let rec await () =
-        let remaining = deadline -. Engine.now ctx.Cluster.ctx_engine in
-        let wait = min 20.0 remaining in
-        if wait <= 0. then None
-        else
-          match Network.recv_timeout ctx.Cluster.ep wait with
-          | None -> attempt ()
-          | Some (_, payload) -> (
-              match decode_msg payload with
-              | Some (Read_reply { client; seq = s; up_to }) when client = me && s = seq
-                ->
-                  Some up_to
-              | Some
-                  ( Read_reply _ (* another client's reply *)
-                  | Request _ | Ack _ | Commit _ | Read_request _ | Catch_up _
-                  | Snapshot _ )
-              | None ->
-                  await ())
-      in
-      await ()
-    end
-  in
-  attempt ()
-
-(* A client is an extra process (pid ≥ replicas) that submits commands to
-   the Ω leader and waits for the ack, retrying on timeout. *)
-let submit (ctx : _ Cluster.ctx) ~cfg ~seq ~cmd ~timeout =
-  let me = ctx.Cluster.pid in
-  let deadline = Engine.now ctx.Cluster.ctx_engine +. timeout in
-  let rec attempt () =
-    if Engine.now ctx.Cluster.ctx_engine >= deadline then None
-    else begin
-      let leader = min (Omega.leader ctx.Cluster.ctx_omega) (cfg.replicas - 1) in
-      Network.send ctx.Cluster.ep ~dst:leader
-        (encode_msg (Request { client = me; seq; cmd }));
-      let rec await () =
-        let remaining = deadline -. Engine.now ctx.Cluster.ctx_engine in
-        let wait = min 20.0 remaining in
-        if wait <= 0. then None
-        else
-          match Network.recv_timeout ctx.Cluster.ep wait with
-          | None -> attempt () (* resend (possibly to a new leader) *)
-          | Some (_, payload) -> (
-              match decode_msg payload with
-              | Some (Ack { client; seq = s; index }) when client = me && s = seq ->
-                  Some index
-              | Some
-                  ( Ack _ (* another client's ack *)
-                  | Request _ | Commit _ | Read_request _ | Read_reply _
-                  | Catch_up _ | Snapshot _ )
-              | None ->
-                  await ())
-      in
-      await ()
-    end
-  in
-  attempt ()
+let linearizable_read ctx ~cfg ~seq ~timeout =
+  Log_kernel.linearizable_read ctx ~seq ~timeout ~dst:(fun () ->
+      Log_kernel.leader ctx cfg)

@@ -1,113 +1,9 @@
-(** A replicated log on protected memory — Mu-style state machine
-    replication built on the Protected Memory Paxos permission
-    discipline: a steady-state append is ONE replicated write (two
-    delays), because write success certifies the absence of rivals. *)
+(** The ["pmp"] engine: a replicated log on protected memory —
+    Mu-style state machine replication built on the Protected Memory
+    Paxos permission discipline.  A steady-state append is ONE
+    replicated write (two delays), because write success certifies the
+    absence of rivals; committed entries are broadcast to the followers,
+    and a linearizable read costs one permission-protected lease write.
+    The log machinery it shares with {!Velos} is {!Log_kernel}'s. *)
 
-open Rdma_mm
-open Rdma_mem
-
-(** Engine identity (the ["pmp"] entry of {!Engines.all}). *)
-val name : string
-
-val descr : string
-
-val region : string
-
-val entry_reg : int -> string
-
-(** The checkpoint register: a quorum-acked snapshot of the committed
-    prefix ([up_to] plus the stored entries [1..up_to]).  Written only
-    after the covered entries committed, so a checkpoint read from any
-    single replica is safe to adopt; the log below it may be
-    truncated. *)
-val ckpt_reg : string
-
-val encode_ckpt : up_to:int -> entries:string list -> string
-
-val decode_ckpt : string -> (int * string list) option
-
-val encode_entry : term:int -> cmd:string -> string
-
-val decode_entry : string -> (int * string) option
-
-(** Commands are logged with their (client, seq) origin, so a new leader
-    can rebuild duplicate suppression from the log. *)
-val encode_cmd_meta : client:int -> seq:int -> cmd:string -> string
-
-val decode_cmd_meta : string -> (int * int * string) option
-
-type msg =
-  | Request of { client : int; seq : int; cmd : string }
-  | Ack of { client : int; seq : int; index : int }
-  | Commit of { index : int; cmd : string }
-  | Read_request of { client : int; seq : int }
-  | Read_reply of { client : int; seq : int; up_to : int }
-  | Catch_up of { pid : int }
-      (** a restarted replica asking the leader for a snapshot *)
-  | Snapshot of { up_to : int; entries : string list }
-      (** the committed prefix, installed wholesale (no log replay) *)
-
-val encode_msg : msg -> string
-
-val decode_msg : string -> msg option
-
-(** The engine-shared configuration (see {!Consensus_engine.config} for
-    field docs), re-exported so existing [Smr_log.config] users compile
-    unchanged.  The lease knobs are velos-specific and ignored here;
-    [anti_entropy_every > 0.] additionally lets stalled followers
-    request snapshot catch-ups (off by default — pre-refactor
-    behaviour). *)
-type config = Consensus_engine.config = {
-  replicas : int;
-  max_entries : int;
-  f_m : int option;
-  max_terms : int;
-  serve_until : float;
-  checkpoint_every : int;
-  anti_entropy_every : float;
-  lease_duration : float;
-  lease_violation : bool;
-}
-
-val default_config : config
-
-(** Only replicas may take the log's exclusive write permission. *)
-val legal_change : config -> Permission.legal_change
-
-val setup_regions : 'm Cluster.t -> config -> unit
-
-type replica
-
-(** Applied entries, oldest first, as [(index, command)]. *)
-val applied_entries : replica -> (int * string) list
-
-val applied_count : replica -> int
-
-(** The term of the replica's current (or last) reign; [0] before any. *)
-val current_term : replica -> int
-
-(** Commit-stream notification, fired on the applying fiber for every
-    entry this replica applies; [f] must not suspend. *)
-val on_commit : replica -> (index:int -> cmd:string -> unit) -> unit
-
-(** Recovery notification: fired once a reign's recovery completed and
-    this replica leads; [f] must not suspend. *)
-val on_recover : replica -> (term:int -> unit) -> unit
-
-val spawn_replica : string Cluster.t -> ?cfg:config -> pid:int -> unit -> replica
-
-val stop : replica -> unit
-
-(** Submit a command from a client process (pid ≥ replicas): sends to the
-    Ω leader, awaits the ack, retries on timeout.  Returns the committed
-    index, or [None] if [timeout] elapsed. *)
-val submit :
-  string Cluster.ctx -> cfg:config -> seq:int -> cmd:string -> timeout:float -> int option
-[@@sim.yields]
-
-(** Linearizable read: the leader confirms its reign with one
-    permission-protected lease write, then reports how many entries are
-    applied.  Returns that index, or [None] on timeout. *)
-val linearizable_read :
-  string Cluster.ctx -> cfg:config -> seq:int -> timeout:float -> int option
-[@@sim.yields]
+include Consensus_engine.S

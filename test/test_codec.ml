@@ -131,6 +131,129 @@ let test_paxos_decode_garbage () =
   Alcotest.(check bool) "bad int decodes to None" true
     (Paxos.decode (Codec.join [ "prepare"; "xyz" ]) = None)
 
+(* SMR codecs: the replicated-log kernel's entry, cmd-meta and message
+   codecs, the shared checkpoint codec, and velos's lease register. *)
+
+let awkward = [ ""; "plain"; "a|b"; "100%"; "%7c|%25"; "|"; "%" ]
+
+let test_smr_entry_roundtrip () =
+  let open Rdma_smr in
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun term ->
+          Alcotest.(check (option (pair int string)))
+            (Printf.sprintf "entry term %d cmd %S" term cmd)
+            (Some (term, cmd))
+            (Log_kernel.decode_entry (Log_kernel.encode_entry ~term ~cmd)))
+        [ 0; 1; 97; -3; max_int ])
+    awkward
+
+let test_smr_cmd_meta_roundtrip () =
+  let open Rdma_smr in
+  List.iter
+    (fun cmd ->
+      let meta = Log_kernel.encode_cmd_meta ~client:4 ~seq:12 ~cmd in
+      Alcotest.(check bool)
+        (Printf.sprintf "cmd-meta %S" cmd)
+        true
+        (Log_kernel.decode_cmd_meta meta = Some (4, 12, cmd));
+      (* a cmd-meta nested in an entry, as the log stores it *)
+      Alcotest.(check bool)
+        (Printf.sprintf "entry of cmd-meta %S" cmd)
+        true
+        (Option.bind
+           (Log_kernel.decode_entry (Log_kernel.encode_entry ~term:7 ~cmd:meta))
+           (fun (_, m) -> Log_kernel.decode_cmd_meta m)
+        = Some (4, 12, cmd)))
+    awkward
+
+let test_checkpoint_roundtrip () =
+  let stored =
+    List.mapi
+      (fun i cmd ->
+        Rdma_smr.Log_kernel.encode_entry ~term:i
+          ~cmd:(Rdma_smr.Log_kernel.encode_cmd_meta ~client:3 ~seq:i ~cmd))
+      awkward
+  in
+  List.iter
+    (fun entries ->
+      Alcotest.(check (option (list string)))
+        (Printf.sprintf "checkpoint of %d entries" (List.length entries))
+        (Some entries)
+        (Protected_region.decode_ckpt (Protected_region.encode_ckpt entries)))
+    [ []; [ "" ]; awkward; stored ]
+
+let test_smr_msgs_roundtrip () =
+  let open Rdma_smr.Log_kernel in
+  let msgs =
+    [
+      Request { client = 3; seq = 0; cmd = "put k=v|w%" };
+      Request { client = 3; seq = 1; cmd = "" };
+      Ack { client = 4; seq = 2; index = 17 };
+      Commit { index = 5; cmd = "a|b" };
+      Commit { index = 6; cmd = "" };
+      Read_request { client = 3; seq = 100 };
+      Read_reply { client = 3; seq = 100; up_to = 0 };
+      Catch_up { pid = 2 };
+      Snapshot { up_to = 0; entries = [] };
+      Snapshot { up_to = 7; entries = awkward };
+    ]
+  in
+  List.iter
+    (fun m ->
+      match decode_msg (encode_msg m) with
+      | Some m' when m = m' -> ()
+      | _ -> Alcotest.failf "SMR message did not roundtrip: %S" (encode_msg m))
+    msgs
+
+let test_velos_lease_roundtrip () =
+  List.iter
+    (fun until ->
+      match
+        Rdma_smr.Velos.decode_lease (Rdma_smr.Velos.encode_lease ~term:9 ~until)
+      with
+      | Some (9, u) ->
+          (* bit-exact: "%h" keeps every digit and the sign of zero *)
+          Alcotest.(check int64)
+            (Printf.sprintf "lease expiry %h" until)
+            (Int64.bits_of_float until) (Int64.bits_of_float u)
+      | _ -> Alcotest.failf "lease %h did not roundtrip" until)
+    [ 0.1; 1e300; -0.; 0.; 2000.0 ]
+
+let test_smr_decode_garbage () =
+  let open Rdma_smr in
+  let none name b = Alcotest.(check bool) name true b in
+  none "garbage message" (Log_kernel.decode_msg "nonsense" = None);
+  none "empty message" (Log_kernel.decode_msg "" = None);
+  none "bad int in ack"
+    (Log_kernel.decode_msg (Codec.join [ "ack"; "x"; "1"; "2" ]) = None);
+  none "bad int in request"
+    (Log_kernel.decode_msg (Codec.join [ "req"; "1"; "1.5"; "c" ]) = None);
+  none "request of the wrong arity"
+    (Log_kernel.decode_msg (Codec.join [ "req"; "1"; "2" ]) = None);
+  none "bad snapshot index"
+    (Log_kernel.decode_msg (Codec.join [ "snp"; "" ]) = None);
+  none "entry without a term" (Log_kernel.decode_entry "cmd" = None);
+  none "entry with a bad term"
+    (Log_kernel.decode_entry (Codec.join2 "t1" "cmd") = None);
+  none "cmd-meta with a bad seq"
+    (Log_kernel.decode_cmd_meta (Codec.join3 "1" "q" "cmd") = None);
+  none "checkpoint with a bad count"
+    (Protected_region.decode_ckpt (Codec.join [ "two"; "a"; "b" ]) = None);
+  none "lease with a bad expiry"
+    (Velos.decode_lease (Codec.join2 "1" "soon") = None);
+  none "lease with a bad term"
+    (Velos.decode_lease (Codec.join2 "x" "0x1p+0") = None)
+
+let test_checkpoint_count_mismatch () =
+  List.iter
+    (fun fields ->
+      Alcotest.(check (option (list string)))
+        (Codec.join fields) None
+        (Protected_region.decode_ckpt (Codec.join fields)))
+    [ [ "3"; "a"; "b" ]; [ "0"; "a" ]; [ "1" ]; [ "-1" ] ]
+
 let suite =
   [
     Alcotest.test_case "simple roundtrip" `Quick test_simple_roundtrip;
@@ -145,4 +268,12 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_split_join_biased;
     Alcotest.test_case "paxos messages roundtrip" `Quick test_paxos_msgs_roundtrip;
     Alcotest.test_case "paxos decode rejects garbage" `Quick test_paxos_decode_garbage;
+    Alcotest.test_case "smr entry roundtrip" `Quick test_smr_entry_roundtrip;
+    Alcotest.test_case "smr cmd-meta roundtrip" `Quick test_smr_cmd_meta_roundtrip;
+    Alcotest.test_case "checkpoint roundtrip" `Quick test_checkpoint_roundtrip;
+    Alcotest.test_case "smr messages roundtrip" `Quick test_smr_msgs_roundtrip;
+    Alcotest.test_case "velos lease roundtrip" `Quick test_velos_lease_roundtrip;
+    Alcotest.test_case "smr decode rejects garbage" `Quick test_smr_decode_garbage;
+    Alcotest.test_case "checkpoint count must match" `Quick
+      test_checkpoint_count_mismatch;
   ]

@@ -196,7 +196,7 @@ let test_registry () =
 
 (* --- velos lease safety --------------------------------------------- *)
 
-let velos : Consensus_engine.engine = (module Velos_engine)
+let velos : Consensus_engine.engine = (module Velos)
 
 let run_profiled cluster =
   let prof = Prof.create ~clock:(fun () -> 0.0) () in
@@ -233,7 +233,7 @@ let leased_scope_seen prof =
     (Prof.by_scope prof)
 
 let test_leased_read_zero_mem_ops () =
-  let module E = Velos_engine in
+  let module E = Velos in
   (* Long enough that the reign-start lease covers every read below
      (the serve loop paces one read per 4-delay request timeout). *)
   let cfg = { base_cfg with Consensus_engine.lease_duration = 60.0 } in
@@ -262,7 +262,7 @@ let test_leased_read_zero_mem_ops () =
     (Stats.get (Cluster.stats cluster) "velos.reads.quorum")
 
 let test_expired_lease_pays_quorum () =
-  let module E = Velos_engine in
+  let module E = Velos in
   let cfg = { base_cfg with Consensus_engine.lease_duration = 5.0 } in
   let cluster = build (module E) ~cfg ~clients:1 ~m:3 () in
   let _replicas = spawn_replicas velos ~cfg cluster in
@@ -280,7 +280,7 @@ let test_expired_lease_pays_quorum () =
     (Stats.get (Cluster.stats cluster) "velos.reads.quorum" >= 1)
 
 let test_zero_duration_disables_leases () =
-  let module E = Velos_engine in
+  let module E = Velos in
   let cfg = { base_cfg with Consensus_engine.lease_duration = 0.0 } in
   let cluster = build (module E) ~cfg ~clients:1 ~m:3 () in
   let _replicas = spawn_replicas velos ~cfg cluster in
@@ -297,7 +297,7 @@ let test_zero_duration_disables_leases () =
     (Stats.get (Cluster.stats cluster) "velos.reads.quorum" >= 2)
 
 let test_read_after_failover () =
-  let module E = Velos_engine in
+  let module E = Velos in
   (* Long lease so it is still valid when the successor's recovery
      finishes (~27 delays in: detection + permission swap + gather). *)
   let cfg = { base_cfg with Consensus_engine.lease_duration = 60.0 } in

@@ -68,15 +68,15 @@ let test_reentrant_acquire_noop () =
    replicas agree on the grant sequence, even across a leader crash. *)
 let test_replicated_lock_service () =
   let cfg =
-    { Smr_log.default_config with replicas = 3; max_entries = 32; serve_until = 500.0 }
+    { Consensus_engine.default_config with replicas = 3; max_entries = 32; serve_until = 500.0 }
   in
-  let n = cfg.Smr_log.replicas + 2 in
+  let n = cfg.Consensus_engine.replicas + 2 in
   let cluster : string Cluster.t =
     Cluster.create ~legal_change:(Smr_log.legal_change cfg) ~n ~m:3 ()
   in
   Smr_log.setup_regions cluster cfg;
   let replicas =
-    Array.init cfg.Smr_log.replicas (fun pid -> Smr_log.spawn_replica cluster ~cfg ~pid ())
+    Array.init cfg.Consensus_engine.replicas (fun pid -> Smr_log.spawn_replica cluster ~cfg ~pid ())
   in
   let submit_all ctx cmds =
     List.iteri

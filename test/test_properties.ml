@@ -245,16 +245,16 @@ let smr_no_lost_acks =
       let open Rdma_mm in
       let open Rdma_smr in
       let cfg =
-        { Smr_log.default_config with replicas = 3; max_entries = 32;
+        { Consensus_engine.default_config with replicas = 3; max_entries = 32;
           serve_until = 400.0 }
       in
       let cluster : string Cluster.t =
         Cluster.create ~seed ~legal_change:(Smr_log.legal_change cfg)
-          ~n:(cfg.Smr_log.replicas + 1) ~m:3 ()
+          ~n:(cfg.Consensus_engine.replicas + 1) ~m:3 ()
       in
       Smr_log.setup_regions cluster cfg;
       let replicas =
-        Array.init cfg.Smr_log.replicas (fun pid ->
+        Array.init cfg.Consensus_engine.replicas (fun pid ->
             Smr_log.spawn_replica cluster ~cfg ~pid ())
       in
       let acked = ref [] in

@@ -99,17 +99,17 @@ let test_abandoned_attempts_drop_waiters () =
 (* ------------- SMR checkpoints, state transfer, rejoin ------------- *)
 
 let smr_cfg =
-  { Smr_log.default_config with
+  { Consensus_engine.default_config with
     replicas = 3; max_entries = 32; serve_until = 300.0; checkpoint_every = 3 }
 
 let build_smr () =
   let cluster : string Cluster.t =
     Cluster.create ~legal_change:(Smr_log.legal_change smr_cfg)
-      ~n:(smr_cfg.Smr_log.replicas + 1) ~m:3 ()
+      ~n:(smr_cfg.Consensus_engine.replicas + 1) ~m:3 ()
   in
   Smr_log.setup_regions cluster smr_cfg;
   let replicas =
-    Array.init smr_cfg.Smr_log.replicas (fun pid ->
+    Array.init smr_cfg.Consensus_engine.replicas (fun pid ->
         Smr_log.spawn_replica cluster ~cfg:smr_cfg ~pid ())
   in
   let committed = ref 0 in

@@ -6,11 +6,11 @@ open Rdma_mm
 open Rdma_smr
 
 let cfg =
-  { Smr_log.default_config with replicas = 3; max_entries = 32; serve_until = 500.0 }
+  { Consensus_engine.default_config with replicas = 3; max_entries = 32; serve_until = 500.0 }
 
 (* n = replicas + clients processes; m memories. *)
 let build ?(seed = 1) ~clients ~m () =
-  let n = cfg.Smr_log.replicas + clients in
+  let n = cfg.Consensus_engine.replicas + clients in
   let cluster : string Cluster.t =
     Cluster.create ~seed ~legal_change:(Smr_log.legal_change cfg) ~n ~m ()
   in
@@ -18,7 +18,7 @@ let build ?(seed = 1) ~clients ~m () =
   cluster
 
 let spawn_replicas cluster =
-  Array.init cfg.Smr_log.replicas (fun pid ->
+  Array.init cfg.Consensus_engine.replicas (fun pid ->
       Smr_log.spawn_replica cluster ~cfg ~pid ())
 
 let client_program ~commands ~results (ctx : _ Cluster.ctx) =
