@@ -227,6 +227,18 @@ dune exec bin/rdma_agreement.exe -- run smr --engine pmp -n 3 -m 3 --seed 7 \
 cmp test/fixtures/RUN_smr_pmp_seed7.out "$tmp/smr-pmp.out"
 echo "pmp fixed-seed output matches the pre-refactor fixture"
 
+# The Byzantine path is pinned the same way: full I/O traces of a
+# fast-robust run at n = 5 whose slow path runs Preferential Paxos over
+# T-send, and of a robust-backup run whose memory restarts with
+# unwritten (stale) NEB slots.
+dune exec bin/rdma_agreement.exe -- run fast-robust -n 5 -m 3 --seed 7 \
+  --set-leader 1@0 --trace 100000 > "$tmp/fr-n5.out"
+cmp test/fixtures/RUN_fast_robust_n5_seed7.out "$tmp/fr-n5.out"
+dune exec bin/rdma_agreement.exe -- run robust-backup -n 3 -m 3 --seed 3 \
+  --crash-memory 2@10 --recover-memory 2@40 --trace 100000 > "$tmp/rb-rec.out"
+cmp test/fixtures/RUN_robust_backup_recover_seed3.out "$tmp/rb-rec.out"
+echo "Byzantine-path fixed-seed traces match their fixtures"
+
 # The shared replicated-log kernel is pinned the same way: velos's
 # fixed-seed run, plus both engines' adversarial crash/recover batches
 # (recovery, repair and checkpoint paths) — verdict bytes and merged
