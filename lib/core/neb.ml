@@ -33,7 +33,11 @@ open Rdma_reg
    cross-instance signature replay. *)
 let region_of ?(ns = "") p = Printf.sprintf "%sneb.%d" ns p
 
-let slot_reg_ns ~ns ~owner ~k ~src = Printf.sprintf "%ss.%d.%d.%d" ns owner k src
+(* "<ns>s.<owner>.<k>.<src>", built without a format string: NEB polls
+   name slots on every read *)
+let slot_reg_ns ~ns ~owner ~k ~src =
+  String.concat ""
+    [ ns; "s."; string_of_int owner; "."; string_of_int k; "."; string_of_int src ]
 
 let slot_reg ~owner ~k ~src = slot_reg_ns ~ns:"" ~owner ~k ~src
 

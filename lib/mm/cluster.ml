@@ -92,11 +92,13 @@ let create ?(seed = 1) ?(max_steps = 20_000_000) ?(latency = 1.0)
       Obs.event obs ~actor:"crypto" (Event.Verify { ok }));
   (* The run's seed also keys each memory's per-op ordering stream, so a
      chaos schedule replays its weak-mode lag/reorder decisions
-     verbatim. *)
+     verbatim.  The memories share one register table, so each region's
+     layout is declared once however many memories replicate it. *)
+  let table = Memory.create_table () in
   let memories =
     Array.init m (fun mid ->
         Memory.create ~one_way:(latency *. 1.0) ~legal_change ~ordering ~seed
-          ~engine ~stats ~mid ())
+          ~table ~engine ~stats ~mid ())
   in
   let net = Network.create ~latency ~engine ~stats ~n () in
   let omega = Omega.create ~engine ~initial:initial_leader in
@@ -191,7 +193,9 @@ let enable_io_trace t =
 let set_detection_delay t d = t.detection_delay <- d
 
 (* Create the same region (name, permission, registers) on every memory —
-   the replicated layout all the paper's algorithms use. *)
+   the replicated layout all the paper's algorithms use.  The first
+   memory declares it in the shared table; the others attach the same
+   list. *)
 let add_region_everywhere t ~name ~perm ~registers =
   Array.iter (fun mem -> Memory.add_region mem ~name ~perm ~registers) t.memories
 

@@ -31,7 +31,13 @@
      answers "I don't know" instead of a silently-empty ⊥, so quorum
      readers can never mistake lost state for genuinely-unwritten state;
      repair is exactly "write the register back" (read-repair, snapshot
-     installation), after which reads serve again. *)
+     installation), after which reads serve again.
+
+   The register -> region layout lives in a [table] that a cluster's
+   memories share: a region is declared once, and every memory then
+   attaches it by name.  The per-memory store holds only registers that
+   have been written; a register never written carries its region's
+   creation epoch as its stamp and holds ⊥. *)
 
 open Rdma_sim
 open Rdma_obs
@@ -40,9 +46,25 @@ type op_result = Ack | Nak
 
 type read_result = Read of string option | Read_nak
 
+(* The register -> region layout.  Declaring a region enters each of its
+   registers once; attaching an already-declared region (same name, same
+   register list) to another memory costs one list comparison. *)
+type table = {
+  (* region -> its registers, as first declared *)
+  layouts : (string, string list) Hashtbl.t;
+  (* register -> owning region; enforces "a register belongs to exactly
+     one region" (our algorithms' convention, Section 3) *)
+  owner : (string, string) Hashtbl.t;
+}
+
+let create_table () = { layouts = Hashtbl.create 16; owner = Hashtbl.create 256 }
+
 type region = {
   region_name : string;
-  registers : (string, unit) Hashtbl.t;
+  registers : string list; (* as declared: physically the table's list *)
+  (* the epoch the region was attached in: the stamp of every one of its
+     registers that has not been written since *)
+  created_epoch : int;
   mutable perm : Permission.t;
   (* the permission the region was created with; the kernel restores it
      on a [`Genesis] rejoin, as a NIC driver re-registers configured
@@ -69,12 +91,10 @@ type t = {
   one_way : float;
   mutable crashed : bool;
   mutable epoch : int;
+  table : table;
   regions : (string, region) Hashtbl.t;
-  (* register -> (epoch of last write, value) *)
+  (* written register -> (epoch of last write, value) *)
   store : (string, int * string option) Hashtbl.t;
-  (* register -> owning region; enforces "a register belongs to exactly
-     one region" (our algorithms' convention, Section 3) *)
-  owner : (string, string) Hashtbl.t;
   (* weak-ordering model state.  Per-op lag/reorder decisions come from
      [ord_rng], a dedicated stream keyed on (seed, mid) so they replay
      identically under -j N and never perturb the engine's rng (which
@@ -93,7 +113,8 @@ type t = {
 }
 
 let create ?(one_way = 1.0) ?(legal_change = Permission.static_permissions)
-    ?(ordering = Ordering.Strict) ?(seed = 0) ~engine ~stats ~mid () =
+    ?(ordering = Ordering.Strict) ?(seed = 0) ?(table = create_table ()) ~engine
+    ~stats ~mid () =
   {
     mid;
     engine;
@@ -104,9 +125,9 @@ let create ?(one_way = 1.0) ?(legal_change = Permission.static_permissions)
     one_way;
     crashed = false;
     epoch = 0;
+    table;
     regions = Hashtbl.create 64;
     store = Hashtbl.create 256;
-    owner = Hashtbl.create 256;
     ordering;
     ord_rng = Random.State.make [| 0x6f7264; seed; mid |];
     qps = Hashtbl.create 8;
@@ -136,29 +157,56 @@ let is_crashed t = t.crashed
 
 let epoch t = t.epoch
 
+(* The table's register list for region [name]: declared here if new,
+   else the declared list, which [registers] must equal. *)
+let declare table ~name ~registers =
+  match Hashtbl.find_opt table.layouts name with
+  | Some declared ->
+      if not (List.equal String.equal declared registers) then
+        invalid_arg
+          (Printf.sprintf
+             "Memory.add_region: region %s already declared with other registers"
+             name);
+      declared
+  | None ->
+      List.iter
+        (fun r ->
+          match Hashtbl.find_opt table.owner r with
+          | Some other ->
+              invalid_arg
+                (Printf.sprintf
+                   "Memory.add_region: register %s already in region %s" r other)
+          | None -> Hashtbl.add table.owner r name)
+        registers;
+      Hashtbl.add table.layouts name registers;
+      registers
+
 let add_region t ~name ~perm ~registers =
   if Hashtbl.mem t.regions name then
     invalid_arg (Printf.sprintf "Memory.add_region: duplicate region %s" name);
-  let region =
+  let registers = declare t.table ~name ~registers in
+  Hashtbl.add t.regions name
     {
       region_name = name;
-      registers = Hashtbl.create (max 1 (List.length registers));
+      registers;
+      created_epoch = t.epoch;
       perm;
       genesis = perm;
       granted_epoch = t.epoch;
     }
-  in
-  List.iter
-    (fun r ->
-      if Hashtbl.mem t.owner r then
-        invalid_arg
-          (Printf.sprintf "Memory.add_region: register %s already in region %s" r
-             (Hashtbl.find t.owner r));
-      Hashtbl.add t.owner r name;
-      Hashtbl.add region.registers r ();
-      Hashtbl.add t.store r (t.epoch, None))
-    registers;
-  Hashtbl.add t.regions name region
+
+(* Whether [reg] is one of region [r]'s registers. *)
+let owns t r reg =
+  match Hashtbl.find_opt t.table.owner reg with
+  | Some name -> String.equal name r.region_name
+  | None -> false
+
+(* (epoch of last write, value) of [reg], a register of region [r]: an
+   unwritten register holds ⊥ under the region's creation epoch. *)
+let slot t r reg =
+  match Hashtbl.find_opt t.store reg with
+  | Some slot -> slot
+  | None -> (r.created_epoch, None)
 
 (* Direct (zero-delay) inspection — for tests and trace printing only;
    simulated processes must go through the timed operations below. *)
@@ -172,15 +220,19 @@ let peek_register t reg =
 let register_fresh t reg =
   match Hashtbl.find_opt t.store reg with
   | Some (stamp, _) -> stamp = t.epoch
-  | None -> false
+  | None -> (
+      match Hashtbl.find_opt t.table.owner reg with
+      | None -> false
+      | Some name -> (
+          match Hashtbl.find_opt t.regions name with
+          | Some r -> r.created_epoch = t.epoch
+          | None -> false))
 
 let stale_registers t ~region =
   match Hashtbl.find_opt t.regions region with
   | None -> []
   | Some r ->
-      Hashtbl.fold
-        (fun reg () acc -> if register_fresh t reg then acc else reg :: acc)
-        r.registers []
+      List.filter (fun reg -> fst (slot t r reg) <> t.epoch) r.registers
       |> List.sort compare
 
 let region_perm t name =
@@ -217,7 +269,8 @@ let force_permission t ~region ~perm =
    [`Quarantine] every region stays fenced until someone re-establishes
    its permission via changePermission or the kernel.  Either way all
    registers come back stale: reads nak until a current-epoch write
-   repairs them. *)
+   repairs them.  Only written registers are in the store; the rest are
+   stamped with their region's creation epoch, now past. *)
 let restart ?(rejoin = `Genesis) t =
   if not t.crashed then invalid_arg "Memory.restart: memory is not crashed";
   t.crashed <- false;
@@ -398,7 +451,7 @@ let write_async t ~from ~region ~reg value =
         | None -> false
         | Some r ->
             serving r ~epoch:t.epoch
-            && Hashtbl.mem r.registers reg
+            && owns t r reg
             && Permission.can_write r.perm from
       in
       emit t (Event.Mem_write { pid = from; mid = t.mid; region; reg; value; ok });
@@ -409,17 +462,18 @@ let write_async t ~from ~region ~reg value =
 let read_async t ~from ~region ~reg =
   Stats.incr_reads t.stats;
   operation t ~span_name:"mem.read" ~from ~cls:`Read (fun () ->
-      let ok =
+      let ok, value =
         match lookup_region t region with
-        | None -> false
-        | Some r ->
-            serving r ~epoch:t.epoch
-            && Hashtbl.mem r.registers reg
-            && Permission.can_read r.perm from
-            && register_fresh t reg
+        | Some r
+          when serving r ~epoch:t.epoch
+               && owns t r reg
+               && Permission.can_read r.perm from ->
+            let stamp, v = slot t r reg in
+            (stamp = t.epoch, v)
+        | Some _ | None -> (false, None)
       in
       emit t (Event.Mem_read { pid = from; mid = t.mid; region; reg; ok });
-      ((if ok then Read (peek_register t reg) else Read_nak), None))
+      ((if ok then Read value else Read_nak), None))
 
 (* Batched read of several registers of one region in a single operation —
    an RDMA read of a contiguous slot array (Section 7).  Results are in
@@ -431,25 +485,32 @@ type read_many_result = Read_many of string option array | Read_many_nak
 let read_many_async t ~from ~region ~regs =
   Stats.incr_reads t.stats;
   operation t ~span_name:"mem.read_many" ~from ~cls:`Read (fun () ->
+      let count = List.length regs in
+      let values = Array.make count None in
+      (* fills [values] from [i] on; false at the first register outside
+         the region or stale *)
+      let rec fill r i = function
+        | [] -> true
+        | reg :: rest -> (
+            owns t r reg
+            &&
+            match slot t r reg with
+            | stamp, v when stamp = t.epoch ->
+                values.(i) <- v;
+                fill r (i + 1) rest
+            | _ -> false)
+      in
       let ok =
         match lookup_region t region with
         | None -> false
         | Some r ->
             serving r ~epoch:t.epoch
             && Permission.can_read r.perm from
-            && List.for_all
-                 (fun reg ->
-                   Hashtbl.mem r.registers reg && register_fresh t reg)
-                 regs
+            && fill r 0 regs
       in
       emit t
-        (Event.Mem_read_many
-           { pid = from; mid = t.mid; region; count = List.length regs; ok });
-      ( (if ok then
-           Read_many
-             (Array.of_list (List.map (fun reg -> peek_register t reg) regs))
-         else Read_many_nak),
-        None ))
+        (Event.Mem_read_many { pid = from; mid = t.mid; region; count; ok });
+      ((if ok then Read_many values else Read_many_nak), None))
 
 (* Batched write of several registers of one region in a single operation
    — the write-side sibling of [read_many_async], an RDMA write of a
@@ -466,7 +527,7 @@ let write_many_async t ~from ~region ~values =
         | Some r ->
             serving r ~epoch:t.epoch
             && Permission.can_write r.perm from
-            && List.for_all (fun (reg, _) -> Hashtbl.mem r.registers reg) values
+            && List.for_all (fun (reg, _) -> owns t r reg) values
       in
       emit t
         (Event.Mem_write_many

@@ -25,6 +25,13 @@ type read_result = Read of string option | Read_nak
 
 type t
 
+(** The register → region layout.  The memories of one cluster share a
+    table, so a region is declared once and attached to each memory by
+    name; a standalone memory gets a private one. *)
+type table
+
+val create_table : unit -> table
+
 (** [ordering] is the memory-ordering model (default {!Ordering.Strict});
     [seed] keys the per-memory stream the weak modes draw their per-op
     lag/reorder decisions from — pass the run's seed so chaos schedules
@@ -34,6 +41,7 @@ val create :
   ?legal_change:Permission.legal_change ->
   ?ordering:Ordering.mode ->
   ?seed:int ->
+  ?table:table ->
   engine:Engine.t ->
   stats:Stats.t ->
   mid:int ->
@@ -78,7 +86,11 @@ val restart : ?rejoin:[ `Genesis | `Quarantine ] -> t -> unit
 
 (** [add_region t ~name ~perm ~registers] creates a region.  Each register
     may belong to only one region (the convention our algorithms use);
-    registers are initialized to ⊥ ([None]). *)
+    registers are initialized to ⊥ ([None]).  A region name already
+    declared in [t]'s table (by another memory sharing it) is attached
+    with its declared registers, which [registers] must equal.  Raises
+    [Invalid_argument] on a duplicate region in [t], a register claimed
+    by two regions, or a declared region given another register list. *)
 val add_region :
   t -> name:string -> perm:Permission.t -> registers:string list -> unit
 

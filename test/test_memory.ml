@@ -310,6 +310,114 @@ let test_restart_requires_crash () =
        false
      with Invalid_argument _ -> true)
 
+let test_unwritten_register_stale_after_restart () =
+  (* Only written registers are stored: a never-written one is stamped
+     with its region's creation epoch, so a restart leaves it stale like
+     any other — reads nak (single and batched) until a current-epoch
+     write repairs it. *)
+  let engine, mem = make_memory () in
+  Memory.add_region mem ~name:"r" ~perm:(Permission.all_readwrite ~n:1)
+    ~registers:[ "x"; "y" ];
+  in_fiber engine (fun () ->
+      Alcotest.(check bool) "unwritten register fresh at creation" true
+        (Memory.register_fresh mem "x");
+      Memory.crash mem;
+      Memory.restart mem;
+      Alcotest.(check bool) "stale after the restart" false
+        (Memory.register_fresh mem "x");
+      let r = Ivar.await (Memory.read_async mem ~from:0 ~region:"r" ~reg:"x") in
+      Alcotest.check read_result "never-written stale register naks" Memory.Read_nak r;
+      let rm = Ivar.await (Memory.read_many_async mem ~from:0 ~region:"r" ~regs:[ "x" ]) in
+      Alcotest.(check bool) "batched read naks too" true (rm = Memory.Read_many_nak);
+      ignore (Ivar.await (Memory.write_async mem ~from:0 ~region:"r" ~reg:"x" "v"));
+      Alcotest.(check bool) "repaired by a current-epoch write" true
+        (Memory.register_fresh mem "x");
+      let r2 = Ivar.await (Memory.read_async mem ~from:0 ~region:"r" ~reg:"x") in
+      Alcotest.check read_result "repaired register serves" (Memory.Read (Some "v")) r2;
+      let r3 = Ivar.await (Memory.read_async mem ~from:0 ~region:"r" ~reg:"y") in
+      Alcotest.check read_result "its unwritten neighbour still naks" Memory.Read_nak r3)
+
+let test_region_added_after_restart_serves () =
+  let engine, mem = make_memory () in
+  Memory.add_region mem ~name:"old" ~perm:(Permission.all_readwrite ~n:1)
+    ~registers:[ "a" ];
+  in_fiber engine (fun () ->
+      Memory.crash mem;
+      Memory.restart mem;
+      Memory.add_region mem ~name:"new" ~perm:(Permission.all_readwrite ~n:1)
+        ~registers:[ "b" ];
+      Alcotest.(check (list string)) "nothing of it stale" []
+        (Memory.stale_registers mem ~region:"new");
+      Alcotest.(check bool) "its register is fresh" true (Memory.register_fresh mem "b");
+      let r = Ivar.await (Memory.read_async mem ~from:0 ~region:"new" ~reg:"b") in
+      Alcotest.check read_result "serves ⊥ at once" (Memory.Read None) r;
+      Alcotest.(check (list string)) "the pre-restart region is stale" [ "a" ]
+        (Memory.stale_registers mem ~region:"old"))
+
+let test_stale_registers_sorted () =
+  let engine, mem = make_memory () in
+  Memory.add_region mem ~name:"r" ~perm:(Permission.all_readwrite ~n:1)
+    ~registers:[ "d"; "b"; "a"; "c" ];
+  in_fiber engine (fun () ->
+      ignore (Ivar.await (Memory.write_async mem ~from:0 ~region:"r" ~reg:"b" "v"));
+      Alcotest.(check (list string)) "none stale before a crash" []
+        (Memory.stale_registers mem ~region:"r");
+      Memory.crash mem;
+      Memory.restart mem;
+      Alcotest.(check (list string)) "written and never-written alike, sorted"
+        [ "a"; "b"; "c"; "d" ]
+        (Memory.stale_registers mem ~region:"r");
+      ignore (Ivar.await (Memory.write_async mem ~from:0 ~region:"r" ~reg:"c" "w"));
+      Alcotest.(check (list string)) "repaired one drops out" [ "a"; "b"; "d" ]
+        (Memory.stale_registers mem ~region:"r");
+      Alcotest.(check (list string)) "unknown region lists nothing" []
+        (Memory.stale_registers mem ~region:"nope"))
+
+let raises f =
+  try
+    f ();
+    false
+  with Invalid_argument _ -> true
+
+let test_shared_table_conflicts () =
+  (* Memories sharing a register table share its layout rules: a region
+     name means one register list, and a register one region. *)
+  let engine = Engine.create () in
+  let stats = Stats.create () in
+  let table = Memory.create_table () in
+  let mem mid = Memory.create ~table ~engine ~stats ~mid () in
+  let m0 = mem 0 and m1 = mem 1 in
+  let perm = Permission.all_readwrite ~n:1 in
+  Memory.add_region m0 ~name:"r" ~perm ~registers:[ "x"; "y" ];
+  Alcotest.(check bool) "same name, other list" true
+    (raises (fun () -> Memory.add_region m1 ~name:"r" ~perm ~registers:[ "x" ]));
+  Alcotest.(check bool) "register claimed by a second region" true
+    (raises (fun () -> Memory.add_region m1 ~name:"s" ~perm ~registers:[ "y" ]));
+  Alcotest.(check bool) "duplicate region on one memory" true
+    (raises (fun () -> Memory.add_region m0 ~name:"r" ~perm ~registers:[ "x"; "y" ]))
+
+let test_shared_table_attach () =
+  (* A cluster's memories declare each region once and attach it by
+     name; contents, stamps and permissions stay per memory. *)
+  let cluster : string Rdma_mm.Cluster.t = Rdma_mm.Cluster.create ~n:1 ~m:2 () in
+  Rdma_mm.Cluster.add_region_everywhere cluster ~name:"r"
+    ~perm:(Permission.all_readwrite ~n:1) ~registers:[ "x"; "y" ];
+  let m0 = Rdma_mm.Cluster.memory cluster 0 and m1 = Rdma_mm.Cluster.memory cluster 1 in
+  Alcotest.(check (list string)) "attached on both" [ "r" ] (Memory.region_names m1);
+  in_fiber (Rdma_mm.Cluster.engine cluster) (fun () ->
+      ignore (Ivar.await (Memory.write_async m0 ~from:0 ~region:"r" ~reg:"x" "v"));
+      Alcotest.(check (option string)) "written on m0" (Some "v")
+        (Memory.peek_register m0 "x");
+      Alcotest.(check (option string)) "not on m1" None (Memory.peek_register m1 "x");
+      let r = Ivar.await (Memory.read_async m1 ~from:0 ~region:"r" ~reg:"y") in
+      Alcotest.check read_result "m1 serves its own ⊥" (Memory.Read None) r;
+      Memory.crash m1;
+      Memory.restart m1;
+      Alcotest.(check (list string)) "m1 stale after its restart" [ "x"; "y" ]
+        (Memory.stale_registers m1 ~region:"r");
+      Alcotest.(check (list string)) "m0 unaffected" []
+        (Memory.stale_registers m0 ~region:"r"))
+
 let test_permission_disjointness () =
   Alcotest.(check bool) "overlapping sets rejected" true
     (try
@@ -344,4 +452,14 @@ let suite =
     Alcotest.test_case "restart requires a crash" `Quick test_restart_requires_crash;
     Alcotest.test_case "permission sets must be disjoint" `Quick
       test_permission_disjointness;
+    Alcotest.test_case "never-written register naks after restart" `Quick
+      test_unwritten_register_stale_after_restart;
+    Alcotest.test_case "region added after restart serves ⊥" `Quick
+      test_region_added_after_restart_serves;
+    Alcotest.test_case "stale_registers lists unwritten, sorted" `Quick
+      test_stale_registers_sorted;
+    Alcotest.test_case "shared table rejects layout conflicts" `Quick
+      test_shared_table_conflicts;
+    Alcotest.test_case "cluster memories attach one declared region" `Quick
+      test_shared_table_attach;
   ]
