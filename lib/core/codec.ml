@@ -141,6 +141,20 @@ let split s =
     go [] (String.length s)
   end
 
+(* Field lists that grow at the end (T-send histories) are extended and
+   compared in their encoded form: a join is its fields' escapes
+   separated by '|', so appending is concatenation, and an encoding
+   followed by '|' and more fields splits into both lists. *)
+let append enc field = if enc = "" then escape field else String.concat "|" [ enc; escape field ]
+
+let after ~prefix s =
+  let n = String.length prefix and len = String.length s in
+  if n = 0 then Some s
+  else if not (String.starts_with ~prefix s) then None
+  else if len = n then Some ""
+  else if len > n + 1 && s.[n] = '|' then Some (String.sub s (n + 1) (len - n - 1))
+  else None
+
 (* Fixed-arity helpers used by the protocol codecs; decoding failures
    return [None] — a Byzantine process may write arbitrary bytes. *)
 

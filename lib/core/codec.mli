@@ -9,6 +9,16 @@ val join : string list -> string
 
 val split : string -> string list
 
+(** [append (join fields) f = join (fields @ [f])]. *)
+val append : string -> string -> string
+
+(** [after ~prefix s] is the encoding of the fields [s] has beyond
+    [prefix]'s, when [s]'s bytes are [prefix]'s followed by more fields:
+    [Some rest] with [split s = split prefix @ split rest], for a
+    [prefix] that {!join} produced.  [None] otherwise (a re-encoded or
+    different [s] may still decode to a longer list). *)
+val after : prefix:string -> string -> string option
+
 val join2 : string -> string -> string
 
 val join3 : string -> string -> string -> string

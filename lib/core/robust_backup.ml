@@ -45,7 +45,8 @@ module Paxos_bft = Paxos.Make (T_transport)
 (* {2 The Paxos state-machine validator (the Clement et al. replay)} *)
 
 (* Replay [src]'s claimed history (oldest first) to reconstruct the state
-   a correct Paxos process would be in. *)
+   a correct Paxos process would be in; [ok] stays false from the first
+   entry a correct process could not have produced. *)
 type replay = {
   mutable min_proposal : int; (* rises with each Sent Promise/Accepted *)
   mutable accepted : (int * string) option; (* from Sent Accepted *)
@@ -202,31 +203,24 @@ let replay_received st ~src (dst, app) ~from =
       | Paxos.Reject _ | Paxos.Decide _ -> ()));
   st
 
-(* The validator handed to the trusted layer: replay everything in the
-   history, then check the new message. *)
+(* The validator handed to the trusted layer: one replay per sender, fed
+   each of its history entries once — the message being delivered last,
+   as its Sent entry, which is checked like every earlier send. *)
 let paxos_validator ~n : Trusted.validator =
- fun ~src ~history ~msg ->
+ fun ~src ->
   let st = fresh_replay () in
-  List.iter
-    (fun entry ->
-      if st.ok then
-        match entry with
-        | Trusted.Sent { msg; _ } -> (
-            match decode_app msg with
-            | None -> st.ok <- false
-            | Some app -> ignore (replay_sent st ~n ~src app))
-        | Trusted.Received { src = from; msg; _ } -> (
-            match decode_app msg with
-            | None -> st.ok <- false
-            | Some app -> ignore (replay_received st ~src app ~from)))
-    history;
-  if not st.ok then `Reject
-  else
-    match decode_app msg with
-    | None -> `Reject
-    | Some app ->
-        ignore (replay_sent st ~n ~src app);
-        if st.ok then `Accept else `Reject
+  fun entry ->
+    (if st.ok then
+       match entry with
+       | Trusted.Sent { msg; _ } -> (
+           match decode_app msg with
+           | None -> st.ok <- false
+           | Some app -> ignore (replay_sent st ~n ~src app))
+       | Trusted.Received { src = from; msg; _ } -> (
+           match decode_app msg with
+           | None -> st.ok <- false
+           | Some app -> ignore (replay_received st ~src app ~from)));
+    if st.ok then `Accept else `Reject
 
 (* {2 Wiring} *)
 

@@ -41,7 +41,8 @@ val decode_app : string -> (int * app) option
 
 (** The Clement et al. state-machine replay for Paxos: rejects any
     message a correct Paxos process could not send given the claimed
-    history. *)
+    history.  Keeps one replay state per sender, advanced by each entry
+    once. *)
 val paxos_validator : n:int -> Trusted.validator
 
 type config = {

@@ -15,7 +15,13 @@
    the sender through NEB); a Received entry cites the original sender's
    *bare* signature on (k, m), which every process can verify standalone.
    To let receivers verify those citations, T-send attaches a bare
-   signature alongside the NEB-signed payload. *)
+   signature alongside the NEB-signed payload.
+
+   Checking is incremental: a history must extend the one its sender
+   presented last, so a receiver keeps, per sender, the encoding the
+   next history must start with, and checks only the entries beyond it.
+   Each entry is decoded, its citation verified and the validator fed it
+   once per sender, not once per delivery. *)
 
 open Rdma_sim
 open Rdma_mm
@@ -49,12 +55,14 @@ let decode_history s =
 (* The bare signature of (src, k, m) that Received entries cite. *)
 let bare_payload ~k msg = Codec.join2 ("bare" ^ Codec.int_field k) msg
 
-(* A validator inspects the claimed history of [src] (oldest first) and
-   the new message, and says whether a correct process running the
-   protocol could send it.  [`Accept] delivers; [`Reject] convicts. *)
-type validator = src:int -> history:entry list -> msg:string -> [ `Accept | `Reject ]
+(* A validator replays a sender's history to decide whether a correct
+   process running the protocol could have produced it.  [validator ~src]
+   starts the replay of [src]; it is then fed [src]'s entries oldest
+   first, each once, the message being delivered arriving as its [Sent]
+   entry.  [`Reject] convicts [src], after which nothing more is fed. *)
+type validator = src:int -> entry -> [ `Accept | `Reject ]
 
-let accept_all : validator = fun ~src:_ ~history:_ ~msg:_ -> `Accept
+let accept_all : validator = fun ~src:_ _ -> `Accept
 
 type config = { neb : Neb.config }
 
@@ -67,13 +75,15 @@ type t = {
   signer : Keychain.signer;
   stats : Stats.t;
   neb : Neb.t;
-  validator : validator;
   on_receive : src:int -> msg:string -> unit;
   mutable history : entry list; (* newest first *)
-  (* per peer: the history it presented with its last delivered message,
-     oldest first, and that message — used for the prefix check *)
-  peer_hist : entry list array;
-  peer_last_sent : (int * string) option array;
+  mutable sends : int; (* Sent entries in [history] *)
+  (* per peer: the encoding its next history must start with — the
+     history it presented with its last delivered message plus that
+     message's Sent entry ("" before the first) *)
+  expected : string array;
+  (* per peer: the validator's replay, fed up to [expected] *)
+  replays : (entry -> [ `Accept | `Reject ]) array;
   convicted : bool array;
 }
 
@@ -88,47 +98,65 @@ let cited_signature_ok chain = function
           Keychain.author signature = src
           && Keychain.valid chain ~author:src (bare_payload ~k msg) signature)
 
-(* H must extend H_prev ++ [Sent (k_prev, m_prev)], and the added suffix
-   may contain only Received entries (between two sends, a correct
-   process only receives). *)
-let extends ~prev ~prev_sent ~current =
+(* The entries a presented history [hist_enc] adds to [expected], the
+   history it must extend (H_prev ++ [Sent (k_prev, m_prev)]).  When its
+   bytes start with [expected] only the rest is decoded; otherwise (a
+   non-canonical re-encoding, or a history that does not extend) the
+   whole of it is decoded and compared entry by entry. *)
+let presented ~expected hist_enc =
   let rec strip_prefix prefix rest =
     match (prefix, rest) with
     | [], rest -> Some rest
     | p :: ps, r :: rs when p = r -> strip_prefix ps rs
     | _ -> None
   in
-  let expected_prefix =
-    match prev_sent with
-    | None -> prev
-    | Some (k, msg) -> prev @ [ Sent { k; msg } ]
-  in
-  match strip_prefix expected_prefix current with
-  | None -> false
-  | Some suffix ->
-      List.for_all (function Received _ -> true | Sent _ -> false) suffix
+  match Codec.after ~prefix:expected hist_enc with
+  | Some rest -> (
+      match decode_history rest with
+      | Some added -> `Extends added
+      | None -> `Garbled)
+  | None -> (
+      match (decode_history expected, decode_history hist_enc) with
+      | _, None -> `Garbled
+      | Some prefix, Some history -> (
+          match strip_prefix prefix history with
+          | Some added -> `Extends added
+          | None -> `Diverges)
+      | None, Some _ -> `Diverges (* unreachable: [expected] is an encoding *))
 
 (* Called by the NEB deliver hook: k-th message of [src] with payload
-   (m, bare signature, history). *)
+   (m, bare signature, history).  The history must extend the expected
+   prefix with Received entries only (between two sends, a correct
+   process only receives), each citing a valid signature, and the
+   validator must accept those entries and then the message itself. *)
 let handle_delivery t ~k ~payload ~src =
   if not t.convicted.(src) then begin
     match Codec.split3 payload with
     | None -> t.convicted.(src) <- true
     | Some (msg, sig_enc, hist_enc) -> (
-        match (Keychain.decode sig_enc, decode_history hist_enc) with
-        | None, _ | _, None -> t.convicted.(src) <- true
-        | Some bare_sig, Some history ->
+        match
+          (Keychain.decode sig_enc, presented ~expected:t.expected.(src) hist_enc)
+        with
+        | None, _ | _, `Garbled -> t.convicted.(src) <- true
+        | Some bare_sig, ((`Diverges | `Extends _) as presented) ->
+            let sent = Sent { k; msg } in
+            let accepts entry = t.replays.(src) entry = `Accept in
             let checks =
               Keychain.valid t.chain ~author:src (bare_payload ~k msg) bare_sig
-              && List.for_all (cited_signature_ok t.chain) history
-              && extends ~prev:t.peer_hist.(src) ~prev_sent:t.peer_last_sent.(src)
-                   ~current:history
-              && t.validator ~src ~history ~msg = `Accept
+              &&
+              match presented with
+              | `Diverges -> false
+              | `Extends added ->
+                  List.for_all (cited_signature_ok t.chain) added
+                  && List.for_all
+                       (function Received _ -> true | Sent _ -> false)
+                       added
+                  && List.for_all accepts added
+                  && accepts sent
             in
             if not checks then t.convicted.(src) <- true
             else begin
-              t.peer_hist.(src) <- history;
-              t.peer_last_sent.(src) <- Some (k, msg);
+              t.expected.(src) <- Codec.append hist_enc (encode_entry sent);
               (* T-receive(m, src): record it in our own history and hand
                  the message to the application. *)
               t.history <- Received { src; k; msg; sig_enc } :: t.history;
@@ -152,11 +180,11 @@ let create (ctx : _ Cluster.ctx) ?(cfg = default_config) ?(validator = accept_al
             ~deliver:(fun ~k ~msg ~src ->
               handle_delivery (Lazy.force t) ~k ~payload:msg ~src)
             ();
-        validator;
         on_receive;
         history = [];
-        peer_hist = Array.make n [];
-        peer_last_sent = Array.make n None;
+        sends = 0;
+        expected = Array.make n "";
+        replays = Array.init n (fun src -> validator ~src);
         convicted = Array.make n false;
       }
   in
@@ -174,10 +202,9 @@ let is_convicted t src = t.convicted.(src)
    Sent entry. *)
 let t_send t msg =
   let oldest_first = List.rev t.history in
-  let k = ref 0 in
   (* the NEB sequence number equals the count of our prior broadcasts *)
-  List.iter (function Sent _ -> incr k | Received _ -> ()) oldest_first;
-  let seq = !k + 1 in
+  t.sends <- t.sends + 1;
+  let seq = t.sends in
   (* Append the Sent entry NOW, before the broadcast yields to the
      simulator: Neb.broadcast blocks for the replicated write, and any
      message delivered to us in that window would otherwise be recorded

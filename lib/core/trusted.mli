@@ -21,9 +21,13 @@ val decode_history : string -> entry list option
 (** The bare signature payload of (k, m) that Received entries cite. *)
 val bare_payload : k:int -> string -> string
 
-(** Inspect the claimed history (oldest first) and the new message:
-    could a correct process running the protocol send it? *)
-type validator = src:int -> history:entry list -> msg:string -> [ `Accept | `Reject ]
+(** The protocol's state-machine replay: could a correct process running
+    it have produced the claimed history?  [validator ~src] starts the
+    replay of one sender, which the receiver then feeds that sender's
+    history entries oldest first, each exactly once, the message being
+    delivered arriving last as its [Sent] entry.  [`Reject] convicts the
+    sender, after which the replay is fed nothing more. *)
+type validator = src:int -> entry -> [ `Accept | `Reject ]
 
 val accept_all : validator
 

@@ -104,6 +104,29 @@ let qcheck_split_join_biased =
     QCheck2.Gen.(list_size (0 -- 6) codec_string)
     (fun fields -> Codec.split (Codec.join fields) = fields)
 
+let qcheck_append_after =
+  QCheck2.Test.make ~name:"codec append and after extend encoded lists" ~count:1000
+    QCheck2.Gen.(
+      triple (list_size (0 -- 4) codec_string) (list_size (0 -- 4) codec_string)
+        codec_string)
+    (fun (xs, ys, y) ->
+      String.equal (Codec.append (Codec.join xs) y) (Codec.join (xs @ [ y ]))
+      && Codec.after ~prefix:(Codec.join xs) (Codec.join (xs @ ys))
+         = Some (Codec.join ys))
+
+(* Whatever [after] accepts really is the prefix's fields and more,
+   including on encodings cut, extended or re-spelled at the seam. *)
+let qcheck_after_sound =
+  QCheck2.Test.make ~name:"codec after never splits wrongly" ~count:2000
+    QCheck2.Gen.(
+      triple (list_size (0 -- 4) codec_string) (list_size (0 -- 3) codec_string)
+        (oneofl [ ""; "|"; "x"; "|%e"; "%7c"; "||" ]))
+    (fun (xs, ys, tail) ->
+      let s = Codec.join (xs @ ys) ^ tail in
+      match Codec.after ~prefix:(Codec.join xs) s with
+      | None -> true
+      | Some rest -> Codec.split s = xs @ Codec.split rest)
+
 (* Paxos message codec *)
 
 let test_paxos_msgs_roundtrip () =
@@ -276,4 +299,6 @@ let suite =
     Alcotest.test_case "smr decode rejects garbage" `Quick test_smr_decode_garbage;
     Alcotest.test_case "checkpoint count must match" `Quick
       test_checkpoint_count_mismatch;
+    QCheck_alcotest.to_alcotest qcheck_append_after;
+    QCheck_alcotest.to_alcotest qcheck_after_sound;
   ]

@@ -64,8 +64,9 @@ let test_validator_rejects () =
      convicted at every correct receiver and nothing is delivered. *)
   let n = 3 and m = 3 in
   let cluster = build ~n ~m () in
-  let validator ~src:_ ~history:_ ~msg =
-    if String.length msg >= 4 && String.sub msg 0 4 = "evil" then `Reject else `Accept
+  let validator ~src:_ = function
+    | Trusted.Sent { msg; _ } when String.starts_with ~prefix:"evil" msg -> `Reject
+    | Trusted.Sent _ | Trusted.Received _ -> `Accept
   in
   let received = Array.init n (fun _ -> ref []) in
   let convicted = Array.make n false in
@@ -164,6 +165,123 @@ let test_fabricated_citation_convicts () =
   Cluster.check_errors cluster;
   Alcotest.(check (list (pair int string))) "forged citation rejected" [] !received
 
+let test_noncanonical_history () =
+  (* Byzantine senders re-encode the history they presented before with
+     a non-canonical k field.  Receivers judge histories by value: "01"
+     is the same Sent entry as "1" (delivered — the byte-level prefix
+     check falls back to decoding), while "02" is a different one, so
+     that history does not extend the last and its sender is convicted. *)
+  let n = 3 and m = 3 in
+  let cluster = build ~n ~m () in
+  let received = ref [] in
+  let sent_entry kf msg = Codec.join3 "s" kf msg in
+  let liar ~second_k (ctx : _ Cluster.ctx) =
+    let neb = Neb.create ctx ~cfg:neb_cfg ~deliver:(fun ~k:_ ~msg:_ ~src:_ -> ()) () in
+    let bare k msg =
+      Rdma_crypto.Keychain.encode
+        (Rdma_crypto.Keychain.sign ctx.Cluster.signer (Trusted.bare_payload ~k msg))
+    in
+    Neb.broadcast neb (Codec.join3 "hello" (bare 1 "hello") (Trusted.encode_history []));
+    Engine.sleep 20.0;
+    Neb.broadcast neb
+      (Codec.join3 "again" (bare 2 "again") (Codec.join [ sent_entry second_k "hello" ]));
+    Engine.sleep 20.0;
+    (* canonical again: differs in bytes from the re-encoded prefix *)
+    Neb.broadcast neb
+      (Codec.join3 "third" (bare 3 "third")
+         (Trusted.encode_history
+            [ Trusted.Sent { k = 1; msg = "hello" }; Trusted.Sent { k = 2; msg = "again" } ]))
+  in
+  Cluster.spawn_byzantine cluster ~pid:0 (liar ~second_k:"01");
+  Cluster.spawn_byzantine cluster ~pid:1 (liar ~second_k:"02");
+  let convicted = ref [] in
+  Cluster.spawn cluster ~pid:2 (fun ctx ->
+      let t =
+        Trusted.create ctx ~cfg
+          ~on_receive:(fun ~src ~msg -> received := (src, msg) :: !received)
+          ()
+      in
+      Engine.sleep 200.0;
+      convicted := List.filter (Trusted.is_convicted t) [ 0; 1 ]);
+  Cluster.run cluster;
+  Cluster.check_errors cluster;
+  Alcotest.(check (list string)) "\"01\" re-encoding delivers every message"
+    [ "hello"; "again"; "third" ]
+    (List.filter_map (fun (src, msg) -> if src = 0 then Some msg else None)
+       (List.rev !received));
+  Alcotest.(check (list string)) "\"02\" history convicts after the first"
+    [ "hello" ]
+    (List.filter_map (fun (src, msg) -> if src = 1 then Some msg else None)
+       (List.rev !received));
+  Alcotest.(check (list int)) "only the diverging sender convicted" [ 1 ] !convicted
+
+(* The validator as it once ran: a fresh replay of the whole history for
+   every delivery.  The reference for the incremental replay. *)
+let from_scratch ~n ~src entries =
+  let replay = Robust_backup.paxos_validator ~n ~src in
+  let verdict = ref `Accept in
+  List.iter (fun e -> if !verdict = `Accept then verdict := replay e) entries;
+  !verdict
+
+(* Feed [history] once into one replay and compare each verdict with the
+   from-scratch replay of that prefix; returns the verdicts on Sent
+   entries, the messages the history's owner sent. *)
+let check_prefixes ~n ~src history =
+  let replay = Robust_backup.paxos_validator ~n ~src in
+  let rec go prefix verdict acc = function
+    | [] -> List.rev acc
+    | entry :: rest ->
+        let verdict = if verdict = `Accept then replay entry else verdict in
+        let prefix = prefix @ [ entry ] in
+        Alcotest.(check bool)
+          (Printf.sprintf "p%d prefix of %d: incremental = from scratch" src
+             (List.length prefix))
+          true
+          (verdict = from_scratch ~n ~src prefix);
+        let acc =
+          match entry with Trusted.Sent _ -> verdict :: acc | Trusted.Received _ -> acc
+        in
+        go prefix verdict acc rest
+  in
+  go [] `Accept [] history
+
+let accepted verdicts = List.for_all (fun v -> v = `Accept) verdicts
+
+let test_incremental_replay_matches () =
+  let n = 3 and m = 3 in
+  let cluster : string Cluster.t = Cluster.create ~n ~m () in
+  Robust_backup.setup_regions cluster ();
+  let trusted = Array.make n None in
+  let keep pid t = trusted.(pid) <- Some t in
+  Cluster.spawn_byzantine cluster ~pid:2 (fun ctx ->
+      let transport, t = Robust_backup.make_channel ctx () in
+      keep 2 t;
+      Robust_backup.T_transport.broadcast transport
+        (Paxos.encode (Paxos.Decide { value = "evil" })));
+  for pid = 0 to 1 do
+    Cluster.spawn cluster ~pid (fun ctx ->
+        let h = Robust_backup.attach ctx ~input:(Printf.sprintf "v%d" pid) () in
+        keep pid h.Robust_backup.trusted)
+  done;
+  Cluster.run cluster;
+  Cluster.check_errors cluster;
+  let history pid =
+    match trusted.(pid) with
+    | Some t -> Trusted.history t
+    | None -> Alcotest.failf "p%d has no trusted channel" pid
+  in
+  for pid = 0 to 1 do
+    let sends = check_prefixes ~n ~src:pid (history pid) in
+    Alcotest.(check bool) (Printf.sprintf "p%d sent something" pid) true (sends <> []);
+    Alcotest.(check bool)
+      (Printf.sprintf "correct p%d: every send accepted" pid)
+      true (accepted sends)
+  done;
+  match check_prefixes ~n ~src:2 (history 2) with
+  | first :: _ ->
+      Alcotest.(check bool) "the spurious Decide is rejected" true (first = `Reject)
+  | [] -> Alcotest.fail "the attacker sent nothing"
+
 let test_entry_codec_roundtrip () =
   let entries =
     [
@@ -188,4 +306,8 @@ let suite =
     Alcotest.test_case "fabricated citation convicts" `Quick
       test_fabricated_citation_convicts;
     Alcotest.test_case "history codec roundtrip" `Quick test_entry_codec_roundtrip;
+    Alcotest.test_case "non-canonical history judged by value" `Quick
+      test_noncanonical_history;
+    Alcotest.test_case "incremental replay = from-scratch replay" `Quick
+      test_incremental_replay_matches;
   ]
