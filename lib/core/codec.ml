@@ -145,7 +145,8 @@ let split s =
    compared in their encoded form: a join is its fields' escapes
    separated by '|', so appending is concatenation, and an encoding
    followed by '|' and more fields splits into both lists. *)
-let append enc field = if enc = "" then escape field else String.concat "|" [ enc; escape field ]
+let append enc field =
+  if enc = "" then escape field else String.concat "|" [ enc; escape field ]
 
 let after ~prefix s =
   let n = String.length prefix and len = String.length s in

@@ -202,7 +202,7 @@ let is_convicted t src = t.convicted.(src)
    Sent entry. *)
 let t_send t msg =
   let oldest_first = List.rev t.history in
-  (* the NEB sequence number equals the count of our prior broadcasts *)
+  (* the NEB sequence number: one past the count of our prior broadcasts *)
   t.sends <- t.sends + 1;
   let seq = t.sends in
   (* Append the Sent entry NOW, before the broadcast yields to the
