@@ -218,15 +218,9 @@ let peek_register t reg =
 (* A register is fresh when its last write happened in the current
    epoch; stale registers are lost state awaiting repair. *)
 let register_fresh t reg =
-  match Hashtbl.find_opt t.store reg with
-  | Some (stamp, _) -> stamp = t.epoch
-  | None -> (
-      match Hashtbl.find_opt t.table.owner reg with
-      | None -> false
-      | Some name -> (
-          match Hashtbl.find_opt t.regions name with
-          | Some r -> r.created_epoch = t.epoch
-          | None -> false))
+  match Option.bind (Hashtbl.find_opt t.table.owner reg) (Hashtbl.find_opt t.regions) with
+  | Some r -> fst (slot t r reg) = t.epoch
+  | None -> false
 
 let stale_registers t ~region =
   match Hashtbl.find_opt t.regions region with
