@@ -237,6 +237,15 @@ cmp test/fixtures/RUN_fast_robust_n5_seed7.out "$tmp/fr-n5.out"
 dune exec bin/rdma_agreement.exe -- run robust-backup -n 3 -m 3 --seed 3 \
   --crash-memory 2@10 --recover-memory 2@40 --trace 100000 > "$tmp/rb-rec.out"
 cmp test/fixtures/RUN_robust_backup_recover_seed3.out "$tmp/rb-rec.out"
+# The fault lines of the I/O log (process CRASH/RESTART, MEMORY
+# CRASH/RESTART; a no-op memory restart prints nothing) and Figure 6's
+# Cheap Quorum -> Preferential Paxos hand-off are pinned too.
+dune exec bin/rdma_agreement.exe -- run robust-backup -n 3 -m 3 --seed 2 \
+  --crash-process 1@5 --crash-memory 2@8 --recover-memory 2@40 \
+  --restart-machine 1:1@30 --trace 100000 > "$tmp/rb-cr.out"
+cmp test/fixtures/RUN_robust_backup_crash_restart_seed2.out "$tmp/rb-cr.out"
+dune exec bench/main.exe -- f6 > "$tmp/bench-f6.out"
+cmp test/fixtures/BENCH_f6.out "$tmp/bench-f6.out"
 echo "Byzantine-path fixed-seed traces match their fixtures"
 
 # The shared replicated-log kernel is pinned the same way: velos's
