@@ -537,17 +537,17 @@ let exp_f6 env =
   let faults = [ Fault.Set_leader { pid = 1; at = 0.0 } ] in
   let cq_cfg = { Cheap_quorum.default_config with fast_timeout = 40.0 } in
   let cfg = { Fast_robust.default_config with cheap_quorum = cq_cfg } in
+  let prepare cluster = Obs.set_recording (Rdma_mm.Cluster.obs cluster) true in
   let report, byz, cluster =
-    Fast_robust.run ~cfg ~n ~m ~inputs:(inputs n) ~byzantine ~faults ()
+    Fast_robust.run ~cfg ~n ~m ~inputs:(inputs n) ~byzantine ~faults ~prepare ()
   in
   pr env "Component hand-off events (the arrows of Figure 6):@.";
   List.iter
-    (fun e ->
-      if
-        String.length e.Rdma_sim.Trace.label >= 12
-        && String.sub e.Rdma_sim.Trace.label 0 12 = "cheap-quorum"
-      then pr env "  %a@." Rdma_sim.Trace.pp_event e)
-    (Rdma_sim.Trace.events (Rdma_mm.Cluster.trace cluster));
+    (fun (at, actor, ev) ->
+      match (ev : Event.t) with
+      | Handoff _ -> Option.iter (pr env "  %s@.") (Export.io_line ~at ~actor ev)
+      | _ -> ())
+    (Obs.events (Rdma_mm.Cluster.obs cluster));
   pr env "@.Final decisions (via the backup path):@.";
   Array.iteri
     (fun pid d ->

@@ -156,6 +156,15 @@ let machine_conv =
   let print ppf (pid, mid, at) = Fmt.pf ppf "%d:%d@%.1f" pid mid at in
   Arg.conv (parse, print)
 
+(* An integer >= 0 *)
+let count_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a non-negative integer, got %s" s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 (* "strict" | "completion-lag[:MAX_LAG]" | "reordered-qp[:WINDOW]" *)
 let ordering_conv =
   let parse s =
@@ -231,8 +240,11 @@ let run_cmd =
     Arg.(value & opt (some event_conv) None & info [ "async-until" ] ~docv:"GST@EXTRA" ~doc)
   in
   let trace =
-    let doc = "Print the I/O event trace (memory writes, permission changes, sends)." in
-    Arg.(value & opt (some int) None & info [ "trace" ] ~docv:"N" ~doc)
+    let doc =
+      "Print the first $(docv) lines of the I/O log (memory writes, permission \
+       changes, sends, crashes and restarts, the Cheap Quorum hand-off)."
+    in
+    Arg.(value & opt (some count_conv) None & info [ "trace" ] ~docv:"N" ~doc)
   in
   let trace_out =
     let doc =
@@ -301,10 +313,9 @@ let run_cmd =
         let captured = ref None in
         let prepare cluster =
           captured := Some cluster;
-          if trace <> None then Rdma_mm.Cluster.enable_io_trace cluster;
           (* Retaining the raw event/span stream costs memory, so it is
-             only on when an export was requested. *)
-          if trace_out <> None then
+             only on when the I/O log or an export was requested. *)
+          if trace <> None || trace_out <> None then
             Obs.set_recording (Rdma_mm.Cluster.obs cluster) true
         in
         (* Profile only when a perf export was asked for: the profiler
@@ -378,13 +389,10 @@ let run_cmd =
           flame_out;
         match (trace, !captured) with
         | Some limit, Some cluster ->
-            let events = Rdma_sim.Trace.events (Rdma_mm.Cluster.trace cluster) in
-            let total = List.length events in
+            let lines = Export.io_log (Rdma_mm.Cluster.obs cluster) in
+            let total = List.length lines in
             Fmt.pr "@.I/O trace (first %d of %d events):@." (min limit total) total;
-            List.iteri
-              (fun i e ->
-                if i < limit then Fmt.pr "  %a@." Rdma_sim.Trace.pp_event e)
-              events
+            List.iteri (fun i line -> if i < limit then Fmt.pr "  %s@." line) lines
         | _ -> ()
   in
   let doc = "Run one consensus instance under a fault schedule." in
@@ -393,72 +401,6 @@ let run_cmd =
       const action $ algo $ engine_arg $ n $ m $ seed $ inputs $ crash_procs
       $ crash_mems $ recover_mems $ restart_machines $ leaders $ gst
       $ ordering_arg $ trace $ trace_out $ metrics_out $ perf_out $ flame_out)
-
-let fuzz_cmd =
-  let algo =
-    let doc = "Algorithm to fuzz (see the list command)." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ALGORITHM" ~doc)
-  in
-  let runs =
-    let doc = "Number of randomized runs." in
-    Arg.(value & opt int 50 & info [ "runs" ] ~doc)
-  in
-  let n = Arg.(value & opt int 3 & info [ "n"; "processes" ] ~doc:"Processes.") in
-  let m = Arg.(value & opt int 3 & info [ "m"; "memories" ] ~doc:"Memories.") in
-  let action name runs n m =
-    if name = "smr" then begin
-      Fmt.epr
-        "smr is exercised by the chaos scenarios (chaos explore \
-         smr-ENGINE-recovery), not fuzz@.";
-      exit 1
-    end;
-    match find_algorithm ~engine:"pmp" name with
-    | None ->
-        Fmt.epr "unknown algorithm %s; try the list command@." name;
-        exit 1
-    | Some algo ->
-        (* Randomized schedules drawn deterministically per seed: one
-           process crash at a random time, optionally one memory crash,
-           and random per-message latencies. *)
-        let violations = ref 0 in
-        let no_decision = ref 0 in
-        let inputs = Array.init n (fun i -> Printf.sprintf "v%d" i) in
-        let m = if algo.needs_memories then m else 0 in
-        for seed = 1 to runs do
-          let rng = Random.State.make [| seed; 0xF5 |] in
-          let faults =
-            [
-              Fault.Crash_process
-                { pid = Random.State.int rng n; at = Random.State.float rng 10.0 };
-              Fault.Random_latency
-                { min = 0.5; max = 1.5 +. Random.State.float rng 4.0 };
-            ]
-            @
-            if m > 0 && Random.State.bool rng then
-              [ Fault.Crash_memory
-                  { mid = Random.State.int rng m; at = Random.State.float rng 10.0 } ]
-            else []
-          in
-          let report =
-            algo.exec ~seed ~n ~m ~inputs ~faults ~prepare:(fun _ -> ())
-          in
-          if
-            (not (Report.agreement_ok report))
-            || not (Report.validity_ok report ~inputs)
-          then begin
-            incr violations;
-            Fmt.pr "VIOLATION at seed %d: %a@." seed
-              Fmt.(list ~sep:(any ", ") Fault.pp)
-              faults
-          end;
-          if Report.decided_count report = 0 then incr no_decision
-        done;
-        Fmt.pr "%d randomized runs of %s: %d safety violations, %d without decisions@."
-          runs name !violations !no_decision;
-        if !violations > 0 then exit 1
-  in
-  let doc = "Fuzz an algorithm with randomized crash/latency schedules." in
-  Cmd.v (Cmd.info "fuzz" ~doc) Term.(const action $ algo $ runs $ n $ m)
 
 let log_cmd =
   let kind =
@@ -738,7 +680,6 @@ let () =
        (Cmd.group info
           [
             run_cmd;
-            fuzz_cmd;
             chaos_cmd;
             log_cmd;
             validate_trace_cmd;

@@ -90,11 +90,7 @@ let swmr_recovery ~seed ~inputs ~faults ~byzantine ~prepare =
   Fault.apply cluster faults;
   Cluster.run cluster;
   Cluster.check_errors cluster;
-  Report.of_stats ~algorithm:"swmr-recovery" ~n ~m ~decisions
-    ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-    ~steps:(Engine.steps (Cluster.engine cluster))
-    ()
+  Report.of_cluster ~algorithm:"swmr-recovery" ~decisions cluster
 
 (* --------- repeated Protected Paxos with checkpoints + repair ------ *)
 
@@ -274,10 +270,5 @@ let smr_recovery (module E : Rdma_smr.Consensus_engine.S) ~lease_violation
   Fault.apply cluster faults;
   Cluster.run cluster;
   Cluster.check_errors cluster;
-  Report.of_stats
+  Report.of_cluster ~decisions cluster
     ~algorithm:(Printf.sprintf "smr-%s-recovery" E.name)
-    ~n ~m ~decisions
-    ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-    ~steps:(Engine.steps engine)
-    ()

@@ -387,7 +387,4 @@ let run ?(cfg = default_config) ?(seed = 1) ?(faults = []) ?(prepare = fun _ -> 
     | Permissions -> "aligned-paxos"
     | Disk -> "aligned-paxos-disk"
   in
-  Report.of_stats ~algorithm:name ~n ~m ~decisions
-    ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-    ~steps:(Engine.steps (Cluster.engine cluster)) ()
+  Report.of_cluster ~algorithm:name ~decisions cluster

@@ -258,7 +258,4 @@ let run ?(cfg = default_config) ?(seed = 1) ?(faults = []) ?(prepare = fun _ -> 
   Cluster.run cluster;
   Cluster.check_errors cluster;
   let decisions = Array.map (fun h -> Ivar.peek h.decision) handles in
-  Report.of_stats ~algorithm:"disk-paxos" ~n ~m ~decisions
-    ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-    ~steps:(Engine.steps (Cluster.engine cluster)) ()
+  Report.of_cluster ~algorithm:"disk-paxos" ~decisions cluster

@@ -108,18 +108,21 @@ let program (ctx : _ Cluster.ctx) cfg ~input decision =
         (value, proof)
     | Cheap_quorum.Aborted { value; proof } -> (value, proof)
   in
-  Trace.recordf ctx.Cluster.ctx_trace
-    ~at:(Engine.now ctx.Cluster.ctx_engine)
-    ~actor:(Printf.sprintf "p%d" ctx.Cluster.pid)
-    "%s -> preferential-paxos value=%s class=%s"
-    (match outcome with
-    | Cheap_quorum.Decided _ -> "cheap-quorum COMMIT"
-    | Cheap_quorum.Aborted _ -> "cheap-quorum ABORT")
-    value
-    (match evidence with
-    | Cheap_quorum.Unanimity _ -> "T"
-    | Cheap_quorum.Leader_signed _ -> "M"
-    | Cheap_quorum.Bare -> "B");
+  Obs.event obs ~actor
+    (Event.Handoff
+       {
+         pid = ctx.Cluster.pid;
+         committed =
+           (match outcome with
+           | Cheap_quorum.Decided _ -> true
+           | Cheap_quorum.Aborted _ -> false);
+         value;
+         evidence =
+           (match evidence with
+           | Cheap_quorum.Unanimity _ -> "T"
+           | Cheap_quorum.Leader_signed _ -> "M"
+           | Cheap_quorum.Bare -> "B");
+       });
   (* The backup phase runs in auxiliary fibers; open the span here and
      close it when the backup's decision lands (or never, if it doesn't —
      an unfinished span in the trace is the signal). *)
@@ -168,9 +171,6 @@ let run ?(cfg = default_config) ?(seed = 1) ?(faults = [])
     Array.map (function Some h -> Ivar.peek h.decision | None -> None) handles
   in
   let report =
-    Report.of_stats ~algorithm:"fast-robust" ~n ~m ~decisions
-      ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-      ~steps:(Engine.steps (Cluster.engine cluster)) ()
+    Report.of_cluster ~algorithm:"fast-robust" ~decisions cluster
   in
   (report, List.map fst byzantine, cluster)

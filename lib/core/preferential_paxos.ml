@@ -140,9 +140,6 @@ let run ?(cfg = default_config) ?(classify = no_priorities) ?(seed = 1) ?(faults
       handles
   in
   let report =
-    Report.of_stats ~algorithm:"preferential-paxos" ~n ~m ~decisions
-      ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-      ~steps:(Engine.steps (Cluster.engine cluster)) ()
+    Report.of_cluster ~algorithm:"preferential-paxos" ~decisions cluster
   in
   (report, List.map fst byzantine)

@@ -408,9 +408,5 @@ let run ?(cfg = default_config) ?(seed = 1) ?(faults = []) ?(prepare = fun _ -> 
   Cluster.check_errors cluster;
   Array.init cfg.slots (fun instance ->
       let decisions = Array.map (fun h -> Ivar.peek h.decisions.(instance)) handles in
-      Report.of_stats
-        ~algorithm:(Printf.sprintf "protected-paxos-multi[%d]" instance)
-        ~n ~m ~decisions
-        ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-        ~steps:(Engine.steps (Cluster.engine cluster)) ())
+      Report.of_cluster ~decisions cluster
+        ~algorithm:(Printf.sprintf "protected-paxos-multi[%d]" instance))

@@ -7,6 +7,7 @@
 
 open Rdma_sim
 open Rdma_obs
+open Rdma_mm
 
 type decision = { value : string; at : float }
 
@@ -31,7 +32,6 @@ type t = {
   signatures : int;
   verifications : int;
   sim_steps : int;
-  wall_events : int;
   named : (string * int) list; (* snapshot of the named counters *)
   phases : phase list; (* per-phase latency breakdown, sorted by name *)
 }
@@ -49,20 +49,20 @@ let phases_of_obs obs =
       })
     (Obs.summaries ~cat:"phase" obs)
 
-let of_stats ?obs ~algorithm ~n ~m ~decisions ~(stats : Stats.t) ~steps () =
+let of_cluster ~algorithm ~decisions cluster =
+  let stats = Cluster.stats cluster in
   {
     algorithm;
-    n;
-    m;
+    n = Cluster.n cluster;
+    m = Cluster.m cluster;
     decisions;
     messages = stats.Stats.messages_sent;
     mem_ops = Stats.mem_ops stats;
     signatures = stats.Stats.signatures;
     verifications = stats.Stats.verifications;
-    sim_steps = steps;
-    wall_events = steps;
+    sim_steps = Engine.steps (Cluster.engine cluster);
     named = Stats.named_sorted stats;
-    phases = (match obs with None -> [] | Some obs -> phases_of_obs obs);
+    phases = phases_of_obs (Cluster.obs cluster);
   }
 
 let named t key =

@@ -1,8 +1,7 @@
 (** Uniform run reports: per-process decisions with virtual decision times
     (= delay counts) and substrate counters. *)
 
-open Rdma_sim
-open Rdma_obs
+open Rdma_mm
 
 type decision = { value : string; at : float }
 
@@ -27,23 +26,15 @@ type t = {
   signatures : int;
   verifications : int;
   sim_steps : int;
-  wall_events : int;
   named : (string * int) list;  (** snapshot of the named counters *)
   phases : phase list;  (** per-phase latency breakdown, sorted by name *)
 }
 
-(** [obs], when given, fills {!field-phases} from the collector's
+(** The report of a finished run on [cluster]: its size, substrate
+    counters and engine steps, and {!field-phases} from its collector's
     [~cat:"phase"] histograms. *)
-val of_stats :
-  ?obs:Obs.t ->
-  algorithm:string ->
-  n:int ->
-  m:int ->
-  decisions:decision option array ->
-  stats:Stats.t ->
-  steps:int ->
-  unit ->
-  t
+val of_cluster :
+  algorithm:string -> decisions:decision option array -> _ Cluster.t -> t
 
 (** Look up a named counter (0 if absent). *)
 val named : t -> string -> int

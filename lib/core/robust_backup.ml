@@ -324,9 +324,6 @@ let run ?(cfg = default_config) ?(seed = 1) ?(faults = [])
     handles;
   let ignore_pids = List.map fst byzantine in
   let report =
-    Report.of_stats ~algorithm:"robust-backup" ~n ~m ~decisions
-      ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-      ~steps:(Engine.steps (Cluster.engine cluster)) ()
+    Report.of_cluster ~algorithm:"robust-backup" ~decisions cluster
   in
   (report, ignore_pids)

@@ -15,7 +15,6 @@ open Rdma_obs
 type 'm t = {
   engine : Engine.t;
   stats : Stats.t;
-  trace : Trace.t;
   n : int;
   m : int;
   keychain : Keychain.t;
@@ -49,7 +48,6 @@ type 'm ctx = {
   chain : Keychain.t;
   ctx_omega : Omega.t;
   ctx_stats : Stats.t;
-  ctx_trace : Trace.t;
   ctx_obs : Obs.t;
   (* Spawn an auxiliary fiber belonging to this process: it dies with the
      process when a crash is injected. *)
@@ -79,7 +77,6 @@ let create ?(seed = 1) ?(max_steps = 20_000_000) ?(latency = 1.0)
     ?(ordering = Ordering.Strict) ~n ~m () =
   let engine = Engine.create ~max_steps ~seed () in
   let stats = Stats.create () in
-  let trace = Trace.create () in
   let keychain = Keychain.create ~seed ~n () in
   let obs = Engine.obs engine in
   Keychain.set_hooks keychain
@@ -106,7 +103,6 @@ let create ?(seed = 1) ?(max_steps = 20_000_000) ?(latency = 1.0)
     {
       engine;
       stats;
-      trace;
       n;
       m;
       keychain;
@@ -141,8 +137,6 @@ let engine t = t.engine
 
 let stats t = t.stats
 
-let trace t = t.trace
-
 let n t = t.n
 
 let m t = t.m
@@ -172,24 +166,6 @@ let obs t = Engine.obs t.engine
 
 let set_auto_leader t flag = t.auto_leader <- flag
 
-(* Record every memory write/permission change and every message send
-   into the cluster trace — heavyweight; for debugging and the CLI's
-   --trace flag.  Implemented as a subscriber on the typed telemetry
-   stream; the line formats predate the telemetry subsystem and are kept
-   for the human-readable `--trace` output. *)
-let enable_io_trace t =
-  Obs.subscribe (obs t) (fun ~at ~actor ev ->
-      let record fmt = Trace.recordf t.trace ~at ~actor fmt in
-      match (ev : Event.t) with
-      | Mem_write { pid; region; reg; value; ok; _ } ->
-          if ok then record "p%d write %s/%s := %s -> ack" pid region reg value
-          else record "p%d write %s/%s -> nak" pid region reg
-      | Mem_perm { pid; region; applied; _ } ->
-          record "p%d changePermission %s -> %s" pid region
-            (if applied then "applied" else "refused")
-      | Net_send { dst; _ } -> record "send -> p%d" dst
-      | _ -> ())
-
 let set_detection_delay t d = t.detection_delay <- d
 
 (* Create the same region (name, permission, registers) on every memory —
@@ -217,7 +193,6 @@ let ctx t pid =
     chain = t.keychain;
     ctx_omega = t.omega;
     ctx_stats = t.stats;
-    ctx_trace = t.trace;
     ctx_obs = Engine.obs t.engine;
     spawn_sub;
   }
@@ -260,8 +235,7 @@ let crash_process t pid =
     t.crashed.(pid) <- true;
     (match t.fibers.(pid) with Some f -> Engine.cancel f | None -> ());
     List.iter Engine.cancel t.sub_fibers.(pid);
-    Trace.recordf t.trace ~at:(Engine.now t.engine) ~actor:(Printf.sprintf "p%d" pid)
-      "CRASH";
+    Obs.event (obs t) ~actor:(Printf.sprintf "p%d" pid) (Event.Proc_crash { pid });
     if t.auto_leader then schedule_repoint t
   end
 
@@ -269,10 +243,7 @@ let crash_process_at t ~at pid =
   Engine.schedule t.engine (max 0. (at -. Engine.now t.engine)) (fun () ->
       crash_process t pid)
 
-let crash_memory t mid =
-  Memory.crash t.memories.(mid);
-  Trace.recordf t.trace ~at:(Engine.now t.engine) ~actor:(Printf.sprintf "mu%d" mid)
-    "MEMORY CRASH"
+let crash_memory t mid = Memory.crash t.memories.(mid)
 
 let crash_memory_at t ~at mid =
   Engine.schedule t.engine (max 0. (at -. Engine.now t.engine)) (fun () ->
@@ -282,13 +253,7 @@ let crash_memory_at t ~at mid =
    [Memory.restart]).  A benign no-op when the memory is not crashed, so
    a shrunk fault schedule that dropped the paired crash stays valid. *)
 let restart_memory ?rejoin t mid =
-  if Memory.is_crashed t.memories.(mid) then begin
-    Memory.restart ?rejoin t.memories.(mid);
-    Trace.recordf t.trace ~at:(Engine.now t.engine)
-      ~actor:(Printf.sprintf "mu%d" mid)
-      "MEMORY RESTART (epoch %d)"
-      (Memory.epoch t.memories.(mid))
-  end
+  if Memory.is_crashed t.memories.(mid) then Memory.restart ?rejoin t.memories.(mid)
 
 let restart_memory_at ?rejoin t ~at mid =
   Engine.schedule t.engine (max 0. (at -. Engine.now t.engine)) (fun () ->
@@ -307,8 +272,7 @@ let restart_process t pid =
         Engine.spawn t.engine (Printf.sprintf "p%d" pid) (fun () -> program pid)
       in
       t.fibers.(pid) <- Some fiber;
-      Trace.recordf t.trace ~at:(Engine.now t.engine)
-        ~actor:(Printf.sprintf "p%d" pid) "RESTART"
+      Obs.event (obs t) ~actor:(Printf.sprintf "p%d" pid) (Event.Proc_restart { pid })
   | _ -> ()
 
 let restart_process_at t ~at pid =

@@ -23,7 +23,6 @@ type 'm ctx = {
   chain : Keychain.t;
   ctx_omega : Omega.t;
   ctx_stats : Stats.t;
-  ctx_trace : Trace.t;
   ctx_obs : Obs.t;
   spawn_sub : string -> (unit -> unit) -> unit;
       (** Spawn an auxiliary fiber belonging to this process; it dies with
@@ -50,8 +49,6 @@ val engine : 'm t -> Engine.t
 
 val stats : 'm t -> Stats.t
 
-val trace : 'm t -> Trace.t
-
 val n : 'm t -> int
 
 val m : 'm t -> int
@@ -76,10 +73,6 @@ val keychain : 'm t -> Keychain.t
 (** The engine's telemetry collector (shared by every layer of this
     cluster). *)
 val obs : 'm t -> Obs.t
-
-(** Record every memory write/permission change and message send into
-    the cluster trace (heavyweight; for debugging). *)
-val enable_io_trace : 'm t -> unit
 
 (** Whether Ω automatically repoints to the lowest-id live process when the
     current leader crashes (default true). *)
@@ -117,10 +110,13 @@ val crashed_pids : 'm t -> int list
 (** Memories crashed so far. *)
 val crashed_mids : 'm t -> int list
 
+(** Crash process [pid] and its auxiliary fibers, emitting [Proc_crash]
+    on the telemetry stream.  No-op when it is already crashed. *)
 val crash_process : 'm t -> int -> unit
 
 val crash_process_at : 'm t -> at:float -> int -> unit
 
+(** Crash memory [mid] ({!Rdma_mem.Memory.crash} emits [Mem_crash]). *)
 val crash_memory : 'm t -> int -> unit
 
 val crash_memory_at : 'm t -> at:float -> int -> unit
@@ -136,8 +132,8 @@ val restart_memory_at :
 
 (** Restart a crashed process: re-run the program it was spawned with
     from the top, with a fresh capability bundle.  Only state the
-    program explicitly recovers survives.  No-op when the process is not
-    crashed or was never spawned. *)
+    program explicitly recovers survives; emits [Proc_restart].  No-op
+    when the process is not crashed or was never spawned. *)
 val restart_process : 'm t -> int -> unit
 
 val restart_process_at : 'm t -> at:float -> int -> unit

@@ -52,7 +52,7 @@ let n t = t.n
 
 let set_latency t f = t.base_latency <- f
 
-(* Random per-message latency in [min, max) — used by the safety fuzzers:
+(* Random per-message latency in [min, max) — drawn by the chaos nemesis:
    with heterogeneous latencies, messages between the same pair of
    processes can overtake each other, which the model allows (links
    guarantee integrity and no-loss, not FIFO).  Draws come from the

@@ -28,6 +28,7 @@ type t =
     }
   | Mem_perm of { pid : int; mid : int; region : string; applied : bool }
   | Mem_fence of { pid : int; mid : int }
+  | Mem_crash of { mid : int }
   | Mem_restart of { mid : int; epoch : int }
   | Verbs_mr of { mid : int; region : string; op : string }
   | Sign of { pid : int }
@@ -35,7 +36,10 @@ type t =
   | Fiber_spawn of { fid : int; name : string }
   | Fiber_cancel of { fid : int; name : string }
   | Deadlock of { steps : int }
+  | Proc_crash of { pid : int }
+  | Proc_restart of { pid : int }
   | Decide of { pid : int; value : string }
+  | Handoff of { pid : int; committed : bool; value : string; evidence : string }
   | Custom of { name : string; detail : string }
 
 let name = function
@@ -47,6 +51,7 @@ let name = function
   | Mem_write_many _ -> "mem.write_many"
   | Mem_perm _ -> "mem.perm"
   | Mem_fence _ -> "mem.fence"
+  | Mem_crash _ -> "mem.crash"
   | Mem_restart _ -> "mem.restart"
   | Verbs_mr _ -> "verbs.mr"
   | Sign _ -> "crypto.sign"
@@ -54,18 +59,22 @@ let name = function
   | Fiber_spawn _ -> "fiber.spawn"
   | Fiber_cancel _ -> "fiber.cancel"
   | Deadlock _ -> "engine.deadlock"
+  | Proc_crash _ -> "proc.crash"
+  | Proc_restart _ -> "proc.restart"
   | Decide _ -> "protocol.decide"
+  | Handoff _ -> "protocol.handoff"
   | Custom { name; _ } -> name
 
 let cat = function
   | Net_send _ | Net_deliver _ -> "net"
   | Mem_read _ | Mem_read_many _ | Mem_write _ | Mem_write_many _ | Mem_perm _
-  | Mem_fence _ | Mem_restart _ ->
+  | Mem_fence _ | Mem_crash _ | Mem_restart _ ->
       "mem"
   | Verbs_mr _ -> "verbs"
   | Sign _ | Verify _ -> "crypto"
   | Fiber_spawn _ | Fiber_cancel _ | Deadlock _ -> "sim"
-  | Decide _ -> "protocol"
+  | Proc_crash _ | Proc_restart _ -> "proc"
+  | Decide _ | Handoff _ -> "protocol"
   | Custom _ -> "custom"
 
 let fields = function
@@ -105,6 +114,7 @@ let fields = function
         ("applied", Json.Bool applied);
       ]
   | Mem_fence { pid; mid } -> [ ("pid", Json.Int pid); ("mid", Json.Int mid) ]
+  | Mem_crash { mid } -> [ ("mid", Json.Int mid) ]
   | Mem_restart { mid; epoch } ->
       [ ("mid", Json.Int mid); ("epoch", Json.Int epoch) ]
   | Verbs_mr { mid; region; op } ->
@@ -113,13 +123,21 @@ let fields = function
         ("region", Json.String region);
         ("op", Json.String op);
       ]
-  | Sign { pid } -> [ ("pid", Json.Int pid) ]
+  | Sign { pid } | Proc_crash { pid } | Proc_restart { pid } ->
+      [ ("pid", Json.Int pid) ]
   | Verify { ok } -> [ ("ok", Json.Bool ok) ]
   | Fiber_spawn { fid; name } | Fiber_cancel { fid; name } ->
       [ ("fid", Json.Int fid); ("name", Json.String name) ]
   | Deadlock { steps } -> [ ("steps", Json.Int steps) ]
   | Decide { pid; value } ->
       [ ("pid", Json.Int pid); ("value", Json.String value) ]
+  | Handoff { pid; committed; value; evidence } ->
+      [
+        ("pid", Json.Int pid);
+        ("committed", Json.Bool committed);
+        ("value", Json.String value);
+        ("class", Json.String evidence);
+      ]
   | Custom { detail; _ } -> [ ("detail", Json.String detail) ]
 
 let pp ppf ev =

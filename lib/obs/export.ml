@@ -150,6 +150,37 @@ let jsonl obs =
     (Obs.entries obs);
   Buffer.contents buf
 
+(* The human-readable I/O log (the CLI's --trace, bench F6): memory
+   writes, permission changes, sends, injected crashes and restarts and
+   Fast & Robust's Figure 6 hand-off, one "[at] actor label" line each.
+   Every other event and every span is left out of it. *)
+let io_label : Event.t -> string option = function
+  | Mem_write { pid; region; reg; value; ok = true; _ } ->
+      Some (Printf.sprintf "p%d write %s/%s := %s -> ack" pid region reg value)
+  | Mem_write { pid; region; reg; ok = false; _ } ->
+      Some (Printf.sprintf "p%d write %s/%s -> nak" pid region reg)
+  | Mem_perm { pid; region; applied; _ } ->
+      Some
+        (Printf.sprintf "p%d changePermission %s -> %s" pid region
+           (if applied then "applied" else "refused"))
+  | Net_send { dst; _ } -> Some (Printf.sprintf "send -> p%d" dst)
+  | Proc_crash _ -> Some "CRASH"
+  | Proc_restart _ -> Some "RESTART"
+  | Mem_crash _ -> Some "MEMORY CRASH"
+  | Mem_restart { epoch; _ } -> Some (Printf.sprintf "MEMORY RESTART (epoch %d)" epoch)
+  | Handoff { committed; value; evidence; _ } ->
+      Some
+        (Printf.sprintf "cheap-quorum %s -> preferential-paxos value=%s class=%s"
+           (if committed then "COMMIT" else "ABORT")
+           value evidence)
+  | _ -> None
+
+let io_line ~at ~actor ev =
+  Option.map (Printf.sprintf "[%6.2f] %-12s %s" at actor) (io_label ev)
+
+let io_log obs =
+  List.filter_map (fun (at, actor, ev) -> io_line ~at ~actor ev) (Obs.events obs)
+
 let metrics_json obs =
   let histograms =
     Obs.histograms obs

@@ -11,6 +11,18 @@ val chrome : Obs.t -> string
 (** One JSON object per line per entry. *)
 val jsonl : Obs.t -> string
 
+(** One event's line in the human-readable I/O log, formatted
+    ["[%6.2f] %-12s %s"] from [at], [actor] and a label; [None] for the
+    events the log leaves out.  It keeps memory writes (ack or nak),
+    permission changes (applied or refused), sends, process and memory
+    crashes and restarts, and the Cheap Quorum hand-off (COMMIT or ABORT,
+    value, evidence class). *)
+val io_line : at:float -> actor:string -> Event.t -> string option
+
+(** The I/O log of a recorded collector: {!io_line} of every retained
+    event that has one, in chronological order. *)
+val io_log : Obs.t -> string list
+
 (** Histogram summaries (count/sum/min/max/p50/p90/p99), counters and
     gauges. *)
 val metrics_json : Obs.t -> Json.t

@@ -7,8 +7,8 @@
    - Metrics (histograms over span durations + named counters) are always
      on: they are O(1) per observation and bounded in size, so reports
      can include per-phase percentiles for free.
-   - Subscribers (typed callbacks) are always notified; the cluster uses
-     one to render the legacy human-readable I/O trace.
+   - Subscribers (typed callbacks) are always notified; the chaos oracle
+     and the SMR log's rejoin listener are two.
    - Event/span *retention* (for the exporters) is opt-in via
      [set_recording]: a long stress run would otherwise accumulate
      millions of entries.

@@ -27,7 +27,7 @@ val recording : t -> bool
 val set_recording : t -> bool -> unit
 
 (** Register a typed tap called on every event regardless of recording;
-    the cluster's legacy I/O trace is one of these. *)
+    the chaos oracle's decision listener is one of these. *)
 val subscribe : t -> (at:float -> actor:string -> Event.t -> unit) -> unit
 
 (** Register a tap called at every span open, regardless of recording.

@@ -151,7 +151,9 @@ let stats t = t.stats
    the moment the permission check happens. *)
 let emit t ev = Obs.event t.obs ~actor:t.actor ev
 
-let crash t = t.crashed <- true
+let crash t =
+  t.crashed <- true;
+  emit t (Event.Mem_crash { mid = t.mid })
 
 let is_crashed t = t.crashed
 

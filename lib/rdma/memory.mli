@@ -64,7 +64,8 @@ val obs : t -> Rdma_obs.Obs.t
 (** The substrate-wide counters this memory reports into. *)
 val stats : t -> Stats.t
 
-(** Crash the memory: every outstanding and future operation hangs. *)
+(** Crash the memory: every outstanding and future operation hangs.
+    Emits a [Mem_crash] event, as {!restart} emits [Mem_restart]. *)
 val crash : t -> unit
 
 val is_crashed : t -> bool

@@ -99,11 +99,7 @@ let run ?(cfg = default_config) ?(seed = 1) ?(faults = [])
               | None -> None)
             handles
         in
-        Report.of_stats
-          ~algorithm:(Printf.sprintf "bft-log[%d]" slot)
-          ~n ~m ~decisions
-          ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-          ~steps:(Engine.steps (Cluster.engine cluster)) ())
+        Report.of_cluster ~decisions cluster
+          ~algorithm:(Printf.sprintf "bft-log[%d]" slot))
   in
   (reports, List.map fst byzantine)

@@ -80,10 +80,4 @@ let run ~engine ?cfg ~seed ~n ~m ~inputs ~faults ~prepare () =
   Fault.apply cluster faults;
   Cluster.run cluster;
   Cluster.check_errors cluster;
-  Report.of_stats
-    ~algorithm:(Printf.sprintf "smr-%s" E.name)
-    ~n:total ~m ~decisions
-    ~obs:(Cluster.obs cluster)
-    ~stats:(Cluster.stats cluster)
-    ~steps:(Engine.steps engine_t)
-    ()
+  Report.of_cluster ~algorithm:(Printf.sprintf "smr-%s" E.name) ~decisions cluster

@@ -50,6 +50,15 @@ grep -q "pmp.phase2" "$tmp/metrics1.json" || {
   exit 1
 }
 
+# A negative I/O log length is a usage error (cmdliner's exit 124).
+neg_status=0
+dune exec bin/rdma_agreement.exe -- run paxos -n 3 --seed 1 --trace=-5 \
+  > /dev/null 2>&1 || neg_status=$?
+[ "$neg_status" -eq 124 ] || {
+  echo "run --trace=-5 should exit 124 (got $neg_status)" >&2
+  exit 1
+}
+
 echo "== chaos smoke test =="
 # Fixed-seed explore batches over two algorithms: inside the fault model
 # every schedule must hold all four invariants.

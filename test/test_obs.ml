@@ -411,6 +411,57 @@ let test_gauge_watermark_and_merge () =
      in
      contains json "\"gauges\"" && contains json "heap.peak")
 
+(* The I/O log renderer, on a collector recorded by hand: one line per
+   rendered event kind, and nothing for reads, deliveries or spans. *)
+let test_io_log_lines () =
+  let obs = Obs.create ~recording:true () in
+  let now = ref 0.0 in
+  Obs.set_clock obs (fun () -> !now);
+  let at t actor ev =
+    now := t;
+    Obs.event obs ~actor ev
+  in
+  let write ok =
+    Event.Mem_write { pid = 0; mid = 1; region = "r"; reg = "x"; value = "v"; ok }
+  in
+  let handoff committed evidence =
+    Event.Handoff { pid = 2; committed; value = "v2"; evidence }
+  in
+  at 1.0 "mu1" (write true);
+  at 1.0 "mu1" (write false);
+  at 1.5 "mu1" (Event.Mem_read { pid = 0; mid = 1; region = "r"; reg = "x"; ok = true });
+  at 2.0 "mu0" (Event.Mem_perm { pid = 1; mid = 0; region = "r"; applied = true });
+  at 2.0 "mu0" (Event.Mem_perm { pid = 1; mid = 0; region = "r"; applied = false });
+  at 3.0 "p0" (Event.Net_send { src = 0; dst = 2 });
+  at 4.0 "p2" (Event.Net_deliver { src = 0; dst = 2 });
+  Obs.finish obs (Obs.span obs ~actor:"p2" "phase");
+  at 5.0 "p1" (Event.Proc_crash { pid = 1 });
+  at 6.25 "p1" (Event.Proc_restart { pid = 1 });
+  at 7.0 "mu2" (Event.Mem_crash { mid = 2 });
+  at 40.0 "mu2" (Event.Mem_restart { mid = 2; epoch = 1 });
+  List.iter
+    (fun (committed, evidence) -> at 55.0 "p2" (handoff committed evidence))
+    [ (true, "T"); (true, "M"); (true, "B"); (false, "T"); (false, "M"); (false, "B") ];
+  check (Alcotest.list string) "one line per rendered event"
+    [
+      "[  1.00] mu1          p0 write r/x := v -> ack";
+      "[  1.00] mu1          p0 write r/x -> nak";
+      "[  2.00] mu0          p1 changePermission r -> applied";
+      "[  2.00] mu0          p1 changePermission r -> refused";
+      "[  3.00] p0           send -> p2";
+      "[  5.00] p1           CRASH";
+      "[  6.25] p1           RESTART";
+      "[  7.00] mu2          MEMORY CRASH";
+      "[ 40.00] mu2          MEMORY RESTART (epoch 1)";
+      "[ 55.00] p2           cheap-quorum COMMIT -> preferential-paxos value=v2 class=T";
+      "[ 55.00] p2           cheap-quorum COMMIT -> preferential-paxos value=v2 class=M";
+      "[ 55.00] p2           cheap-quorum COMMIT -> preferential-paxos value=v2 class=B";
+      "[ 55.00] p2           cheap-quorum ABORT -> preferential-paxos value=v2 class=T";
+      "[ 55.00] p2           cheap-quorum ABORT -> preferential-paxos value=v2 class=M";
+      "[ 55.00] p2           cheap-quorum ABORT -> preferential-paxos value=v2 class=B";
+    ]
+    (Export.io_log obs)
+
 let suite =
   [
     Alcotest.test_case "span nesting under virtual time" `Quick
@@ -439,4 +490,7 @@ let suite =
       test_hist_merge_equals_readd;
     Alcotest.test_case "Obs.merge is order-stable" `Quick
       test_obs_merge_order_stable;
+
+    Alcotest.test_case "I/O log renders one line per event kind" `Quick
+      test_io_log_lines;
   ]

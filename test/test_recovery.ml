@@ -42,8 +42,7 @@ let test_timed_write_times_out () =
   Alcotest.(check int) "timeout counted" 1 (Stats.get stats "rdma.write_quorum.timeouts");
   (* and the counters flow into the report consumers read *)
   let report =
-    Report.of_stats ~algorithm:"timed" ~n:1 ~m:3 ~decisions:[| None |] ~stats
-      ~steps:0 ()
+    Report.of_cluster ~algorithm:"timed" ~decisions:[| None |] cluster
   in
   Alcotest.(check int) "timeouts in Report.named" 1
     (Report.named report "rdma.write_quorum.timeouts");

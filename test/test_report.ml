@@ -1,5 +1,5 @@
 (* Unit tests for the reporting/observability layer: Report invariant
-   checks, Trace, Stats, Fault pretty-printing, Memclient quorum
+   checks, Stats, Fault pretty-printing, Memclient quorum
    helpers. *)
 
 open Rdma_sim
@@ -7,8 +7,8 @@ open Rdma_mem
 open Rdma_consensus
 
 let mk_report decisions =
-  Report.of_stats ~algorithm:"test" ~n:(Array.length decisions) ~m:0 ~decisions
-    ~stats:(Stats.create ()) ~steps:0 ()
+  Report.of_cluster ~algorithm:"test" ~decisions
+    (Rdma_mm.Cluster.create ~n:(Array.length decisions) ~m:0 ())
 
 let d v at = Some { Report.value = v; at }
 
@@ -38,24 +38,6 @@ let test_decision_times () =
   Alcotest.(check int) "count" 2 (Report.decided_count r);
   Alcotest.(check (option (float 0.0))) "no decisions" None
     (Report.first_decision_time (mk_report [| None |]))
-
-let test_trace () =
-  let t = Trace.create () in
-  Trace.record t ~at:1.0 ~actor:"p0" "hello";
-  Trace.recordf t ~at:2.0 ~actor:"p1" "x=%d" 42;
-  let events = Trace.events t in
-  Alcotest.(check int) "two events" 2 (List.length events);
-  Alcotest.(check bool) "chronological" true
-    ((List.nth events 0).Trace.at <= (List.nth events 1).Trace.at);
-  Alcotest.(check int) "count filter" 1
-    (Trace.count t (fun e -> e.Trace.actor = "p1"));
-  (match Trace.find t (fun e -> e.Trace.label = "x=42") with
-  | Some e -> Alcotest.(check string) "formatted label" "p1" e.Trace.actor
-  | None -> Alcotest.fail "recordf event not found");
-  let disabled = Trace.create ~enabled:false () in
-  Trace.record disabled ~at:0.0 ~actor:"p" "dropped";
-  Alcotest.(check int) "disabled trace records nothing" 0
-    (List.length (Trace.events disabled))
 
 let test_stats () =
   let s = Stats.create () in
@@ -113,7 +95,6 @@ let suite =
     Alcotest.test_case "agreement checks" `Quick test_agreement;
     Alcotest.test_case "validity checks" `Quick test_validity;
     Alcotest.test_case "decision time extraction" `Quick test_decision_times;
-    Alcotest.test_case "trace recording and queries" `Quick test_trace;
     Alcotest.test_case "stats counters" `Quick test_stats;
     Alcotest.test_case "fault pretty-printing" `Quick test_fault_pp;
     Alcotest.test_case "memclient quorum helpers" `Quick test_memclient_quorum;

@@ -170,28 +170,30 @@ let test_fast_robust_panic_at_phase_boundary () =
         [ 1; 2 ]
 
 let test_io_trace_captures_fast_path () =
-  (* enable_io_trace records the m slot writes of the 2-delay fast path. *)
+  (* The recorded event stream holds the m slot writes of the 2-delay
+     fast path. *)
   let open Rdma_mm in
-  let open Rdma_sim in
+  let open Rdma_obs in
   let n = 2 and m = 3 in
   let captured = ref None in
   let prepare cluster =
     captured := Some cluster;
-    Cluster.enable_io_trace cluster
+    Obs.set_recording (Cluster.obs cluster) true
   in
   let report = Protected_paxos.run ~n ~m ~inputs:(inputs n) ~prepare () in
   Alcotest.(check bool) "decided" true (Report.decided_count report > 0);
   match !captured with
   | None -> Alcotest.fail "prepare hook never ran"
   | Some cluster ->
-      let trace = Cluster.trace cluster in
       let writes =
-        Trace.count trace (fun e ->
-            e.Trace.at = 1.0
-            && String.length e.Trace.label > 8
-            && String.sub e.Trace.label 0 8 = "p0 write")
+        List.filter
+          (fun (at, _, ev) ->
+            match (ev : Event.t) with
+            | Mem_write { pid = 0; _ } -> at = 1.0
+            | _ -> false)
+          (Obs.events (Cluster.obs cluster))
       in
-      Alcotest.(check int) "m slot writes arrive at t=1" m writes
+      Alcotest.(check int) "m slot writes arrive at t=1" m (List.length writes)
 
 let suite =
   [
