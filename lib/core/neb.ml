@@ -33,28 +33,28 @@ open Rdma_reg
    cross-instance signature replay. *)
 let region_of ?(ns = "") p = Printf.sprintf "%sneb.%d" ns p
 
-(* "<ns>s.<owner>.<k>.<src>", built without a format string: NEB polls
-   name slots on every read *)
+(* "<ns>s.<owner>." : the prefix every slot of [owner]'s region shares *)
+let slot_prefix ~ns ~owner = String.concat "" [ ns; "s."; string_of_int owner; "." ]
+
+(* "<ns>s.<owner>.<k>.<src>"; pollers read the names the decode board
+   below keeps, built once per slot *)
 let slot_reg_ns ~ns ~owner ~k ~src =
-  String.concat ""
-    [ ns; "s."; string_of_int owner; "."; string_of_int k; "."; string_of_int src ]
+  String.concat "" [ slot_prefix ~ns ~owner; string_of_int k; "."; string_of_int src ]
 
 let slot_reg ~owner ~k ~src = slot_reg_ns ~ns:"" ~owner ~k ~src
 
-(* Region layout: every process needs max_seq * n slots.  [max_seq] bounds
-   how many messages each process may broadcast in this instance (the
-   paper's algorithm is unbounded; a simulation instance pre-allocates). *)
+(* Region layout: every process needs max_seq * n slots, slots[p, k, src]
+   for 1 <= k <= max_seq and 0 <= src < n.  [max_seq] bounds how many
+   messages each process may broadcast in this instance (the paper's
+   algorithm is unbounded; a simulation instance pre-allocates).  Each
+   region is declared by that rule and bound, as one register family,
+   rather than name by name. *)
 let setup_regions cluster ?(ns = "") ~max_seq () =
   let n = Cluster.n cluster in
   for p = 0 to n - 1 do
-    let registers =
-      List.concat_map
-        (fun k -> List.init n (fun src -> slot_reg_ns ~ns ~owner:p ~k:(k + 1) ~src))
-        (List.init max_seq Fun.id)
-    in
-    Cluster.add_region_everywhere cluster ~name:(region_of ~ns p)
+    Cluster.add_family_everywhere cluster ~name:(region_of ~ns p)
       ~perm:(Rdma_mem.Permission.swmr ~writer:p ~n)
-      ~registers
+      { Rdma_mem.Memory.prefix = slot_prefix ~ns ~owner:p; rows = max_seq; cols = n }
   done
 
 let slot_payload ?(ns = "") ~k msg = Codec.join3 ns (Codec.int_field k) msg
@@ -69,6 +69,76 @@ let decode_slot s =
       match (Codec.int_of_field kf, Keychain.decode sig_enc) with
       | Some k, Some signature -> Some (k, msg, signature)
       | _ -> None)
+
+(* {2 The decode board}
+
+   Every correct process polls every sender's slots, so each value
+   written is read by all n of them.  The board, one per cluster and
+   namespace, does the per-write work once: for each slot (src, k) it
+   keeps the slots' register names and, per copy, the bytes last read
+   there with their decoding and signed payload.  A reader reuses an
+   entry only when the bytes it just read are [String.equal] to the
+   cached ones — physically the same string in the common case, since
+   the memories hand every reader the writer's string — so a hit
+   returns exactly what decoding those bytes would.  Only [decoded]
+   fills a cell, from the bytes themselves, and the board is reached
+   through a key no other module holds, so no program can plant an
+   entry.  Signature checks are not cached here: [Keychain.valid] still
+   runs once per logical verify. *)
+
+type decoded = {
+  key : int;
+  msg : string;
+  signature : Keychain.signature;
+  payload : string; (* [slot_payload ~ns ~k:key msg], what it signs *)
+}
+
+(* [value] is [decode_slot bytes], payload added; [decode_slot ""] is
+   [None], which makes a blank cell consistent *)
+type cell = { mutable bytes : string; mutable value : decoded option }
+
+type entry = {
+  regs : string array; (* regs.(owner) names slots[owner, k, src] *)
+  cells : cell array; (* cells.(owner): the copy last read there *)
+}
+
+type board = {
+  board_ns : string;
+  board_n : int;
+  entries : (int * int, entry) Hashtbl.t; (* by (src, k), made on first use *)
+}
+
+let board_key : board Cluster.shared_key = Cluster.shared_key ()
+
+let board (ctx : _ Cluster.ctx) ~ns =
+  let n = ctx.Cluster.cluster_n in
+  Cluster.shared ctx.Cluster.ctx_shared board_key ~name:ns (fun () ->
+      { board_ns = ns; board_n = n; entries = Hashtbl.create 64 })
+
+let entry b ~src ~k =
+  match Hashtbl.find_opt b.entries (src, k) with
+  | Some e -> e
+  | None ->
+      let e =
+        {
+          regs =
+            Array.init b.board_n (fun owner -> slot_reg_ns ~ns:b.board_ns ~owner ~k ~src);
+          cells = Array.init b.board_n (fun _ -> { bytes = ""; value = None });
+        }
+      in
+      Hashtbl.add b.entries (src, k) e;
+      e
+
+let decoded b cell raw =
+  if not (String.equal cell.bytes raw) then begin
+    cell.value <-
+      Option.map
+        (fun (key, msg, signature) ->
+          { key; msg; signature; payload = slot_payload ~ns:b.board_ns ~k:key msg })
+        (decode_slot raw);
+    cell.bytes <- raw
+  end;
+  cell.value
 
 type config = {
   ns : string; (* instance namespace; "" for standalone use *)
@@ -86,6 +156,7 @@ type t = {
   chain : Keychain.t;
   signer : Keychain.signer;
   cfg : config;
+  board : board; (* this cluster's, for [cfg.ns] *)
   own : Swmr.handle; (* my region *)
   regions : Swmr.handle array; (* everyone's region, readable by me *)
   deliver : k:int -> msg:string -> src:int -> unit;
@@ -109,6 +180,7 @@ let create (ctx : _ Cluster.ctx) ?(cfg = default_config) ~deliver () =
     chain = ctx.Cluster.chain;
     signer = ctx.Cluster.signer;
     cfg;
+    board = board ctx ~ns:cfg.ns;
     own = regions.(me);
     regions;
     deliver;
@@ -129,7 +201,7 @@ let broadcast t msg =
   let signature = Keychain.sign t.signer (slot_payload ~ns:t.cfg.ns ~k msg) in
   ignore
     (Swmr.write t.own
-       ~reg:(slot_reg_ns ~ns:t.cfg.ns ~owner:t.me ~k ~src:t.me)
+       ~reg:(entry t.board ~src:t.me ~k).regs.(t.me)
        (encode_slot ~k ~msg ~signature))
 
 (* One delivery attempt for the next message of [src] (try_deliver in
@@ -138,29 +210,22 @@ let try_deliver t src =
   let k = t.last.(src) + 1 in
   if k > t.cfg.max_seq || t.convicted.(src) then false
   else begin
-    match Swmr.read t.regions.(src) ~reg:(slot_reg_ns ~ns:t.cfg.ns ~owner:src ~k ~src) with
+    let e = entry t.board ~src ~k in
+    match Swmr.read t.regions.(src) ~reg:e.regs.(src) with
     | None -> false (* src has not written (or replicas disagree); retry *)
     | Some raw -> (
-        match decode_slot raw with
+        match decoded t.board e.cells.(src) raw with
         | None -> false (* garbage: src is Byzantine; retry later *)
-        | Some (key, msg, signature) ->
-            if
-              key <> k
-              || not
-                   (Keychain.valid t.chain ~author:src
-                      (slot_payload ~ns:t.cfg.ns ~k:key msg)
-                      signature)
+        | Some d ->
+            if d.key <> k || not (Keychain.valid t.chain ~author:src d.payload d.signature)
             then false
             else begin
               (* copy to our own slot, then cross-check every copy *)
-              ignore
-                (Swmr.write t.own ~reg:(slot_reg_ns ~ns:t.cfg.ns ~owner:t.me ~k ~src) raw);
+              ignore (Swmr.write t.own ~reg:e.regs.(t.me) raw);
               let conflict = ref false in
               for i = 0 to t.n - 1 do
                 if not !conflict then
-                  match
-                    Swmr.read t.regions.(i) ~reg:(slot_reg_ns ~ns:t.cfg.ns ~owner:i ~k ~src)
-                  with
+                  match Swmr.read t.regions.(i) ~reg:e.regs.(i) with
                   | None -> ()
                   | Some other when String.equal other raw -> ()
                   | Some other -> (
@@ -168,13 +233,11 @@ let try_deliver t src =
                          can re-encode src's own (k, msg, sig) with a
                          non-canonical k ("01", "+1") — same value, so no
                          conflict (Algorithm 2: "a different value"). *)
-                      match decode_slot other with
-                      | Some (other_k, other_msg, other_sig)
-                        when other_k = k
-                             && (not (String.equal other_msg msg))
-                             && Keychain.valid t.chain ~author:src
-                                  (slot_payload ~ns:t.cfg.ns ~k:other_k other_msg)
-                                  other_sig ->
+                      match decoded t.board e.cells.(i) other with
+                      | Some o
+                        when o.key = k
+                             && (not (String.equal o.msg d.msg))
+                             && Keychain.valid t.chain ~author:src o.payload o.signature ->
                           (* a validly-signed different copy: src signed two
                              different k-th messages — equivocation *)
                           conflict := true
@@ -185,7 +248,7 @@ let try_deliver t src =
                 false
               end
               else begin
-                t.deliver ~k ~msg ~src;
+                t.deliver ~k ~msg:d.msg ~src;
                 t.last.(src) <- k;
                 true
               end

@@ -68,6 +68,51 @@ type config = { neb : Neb.config }
 
 let default_config = { neb = Neb.default_config }
 
+(* {2 The split board}
+
+   Every correct process receives every T-sent payload, so it is split
+   n times over.  As in [Neb]'s decode board, one board per cluster and
+   namespace keeps, per (src, k), the payload bytes last delivered with
+   their split — (m, bare signature, history encoding) — reused only
+   while the bytes delivered are [String.equal] to the cached ones, and
+   filled only by splitting them.  Citations and signatures are still
+   verified per receiver. *)
+
+type split = {
+  msg : string;
+  sig_enc : string;
+  bare_sig : Keychain.signature option; (* [Keychain.decode sig_enc] *)
+  hist_enc : string;
+}
+
+(* [value] is the split of [bytes]; [Codec.split3 ""] is [None] *)
+type cell = { mutable bytes : string; mutable value : split option }
+
+let split payload =
+  Option.map
+    (fun (msg, sig_enc, hist_enc) ->
+      { msg; sig_enc; bare_sig = Keychain.decode sig_enc; hist_enc })
+    (Codec.split3 payload)
+
+type board = (int * int, cell) Hashtbl.t
+
+let board_key : board Cluster.shared_key = Cluster.shared_key ()
+
+let cached_split (b : board) ~src ~k payload =
+  let cell =
+    match Hashtbl.find_opt b (src, k) with
+    | Some cell -> cell
+    | None ->
+        let cell = { bytes = ""; value = None } in
+        Hashtbl.add b (src, k) cell;
+        cell
+  in
+  if not (String.equal cell.bytes payload) then begin
+    cell.value <- split payload;
+    cell.bytes <- payload
+  end;
+  cell.value
+
 type t = {
   me : int;
   n : int;
@@ -75,8 +120,10 @@ type t = {
   signer : Keychain.signer;
   stats : Stats.t;
   neb : Neb.t;
+  board : board; (* this cluster's, for the NEB namespace *)
   on_receive : src:int -> msg:string -> unit;
   mutable history : entry list; (* newest first *)
+  mutable history_enc : string; (* [encode_history (List.rev history)] *)
   mutable sends : int; (* Sent entries in [history] *)
   (* per peer: the encoding its next history must start with — the
      history it presented with its last delivered message plus that
@@ -124,6 +171,11 @@ let presented ~expected hist_enc =
           | None -> `Diverges)
       | None, Some _ -> `Diverges (* unreachable: [expected] is an encoding *))
 
+(* Append [entry] to our own history, keeping its encoding in step. *)
+let record t entry =
+  t.history <- entry :: t.history;
+  t.history_enc <- Codec.append t.history_enc (encode_entry entry)
+
 (* Called by the NEB deliver hook: k-th message of [src] with payload
    (m, bare signature, history).  The history must extend the expected
    prefix with Received entries only (between two sends, a correct
@@ -131,12 +183,10 @@ let presented ~expected hist_enc =
    validator must accept those entries and then the message itself. *)
 let handle_delivery t ~k ~payload ~src =
   if not t.convicted.(src) then begin
-    match Codec.split3 payload with
+    match cached_split t.board ~src ~k payload with
     | None -> t.convicted.(src) <- true
-    | Some (msg, sig_enc, hist_enc) -> (
-        match
-          (Keychain.decode sig_enc, presented ~expected:t.expected.(src) hist_enc)
-        with
+    | Some { msg; sig_enc; bare_sig; hist_enc } -> (
+        match (bare_sig, presented ~expected:t.expected.(src) hist_enc) with
         | None, _ | _, `Garbled -> t.convicted.(src) <- true
         | Some bare_sig, ((`Diverges | `Extends _) as presented) ->
             let sent = Sent { k; msg } in
@@ -159,7 +209,7 @@ let handle_delivery t ~k ~payload ~src =
               t.expected.(src) <- Codec.append hist_enc (encode_entry sent);
               (* T-receive(m, src): record it in our own history and hand
                  the message to the application. *)
-              t.history <- Received { src; k; msg; sig_enc } :: t.history;
+              record t (Received { src; k; msg; sig_enc });
               t.on_receive ~src ~msg
             end)
   end
@@ -175,6 +225,9 @@ let create (ctx : _ Cluster.ctx) ?(cfg = default_config) ?(validator = accept_al
         chain = ctx.Cluster.chain;
         signer = ctx.Cluster.signer;
         stats = ctx.Cluster.ctx_stats;
+        board =
+          Cluster.shared ctx.Cluster.ctx_shared board_key ~name:cfg.neb.Neb.ns (fun () ->
+              Hashtbl.create 64);
         neb =
           Neb.create ctx ~cfg:cfg.neb
             ~deliver:(fun ~k ~msg ~src ->
@@ -182,6 +235,7 @@ let create (ctx : _ Cluster.ctx) ?(cfg = default_config) ?(validator = accept_al
             ();
         on_receive;
         history = [];
+        history_enc = "";
         sends = 0;
         expected = Array.make n "";
         replays = Array.init n (fun src -> validator ~src);
@@ -201,7 +255,8 @@ let is_convicted t src = t.convicted.(src)
 (* T-send(m): broadcast (m, bare signature, full history) and append the
    Sent entry. *)
 let t_send t msg =
-  let oldest_first = List.rev t.history in
+  (* the pre-send snapshot the broadcast carries *)
+  let hist_len = List.length t.history and hist_enc = t.history_enc in
   (* the NEB sequence number: one past the count of our prior broadcasts *)
   t.sends <- t.sends + 1;
   let seq = t.sends in
@@ -212,15 +267,12 @@ let t_send t msg =
      receivers' extends-check and convicting a correct process.  The
      broadcast itself carries the pre-send snapshot, which is what the
      protocol specifies. *)
-  t.history <- Sent { k = seq; msg } :: t.history;
+  record t (Sent { k = seq; msg });
   let bare_sig = Keychain.sign t.signer (bare_payload ~k:seq msg) in
-  let payload =
-    Codec.join3 msg (Keychain.encode bare_sig) (encode_history oldest_first)
-  in
+  let payload = Codec.join3 msg (Keychain.encode bare_sig) hist_enc in
   (* observability: the cost of carrying full histories (the known
      burden of the Clement et al. transform, which motivates the Cheap
      Quorum fast path) *)
-  let hist_len = List.length oldest_first in
   if hist_len > Stats.get t.stats "trusted.max_history_entries" then
     Stats.set t.stats "trusted.max_history_entries" hist_len;
   if String.length payload > Stats.get t.stats "trusted.max_payload_bytes" then

@@ -12,6 +12,18 @@ open Rdma_net
 open Rdma_crypto
 open Rdma_obs
 
+(* Per-cluster state a library module shares between the programs of
+   one cluster (the NEB and T-send decode boards), found by a typed key
+   that module creates and keeps to itself: no other program can name
+   the key, so none can reach or insert into what it finds. *)
+type 'a shared_key = 'a Type.Id.t
+
+let shared_key () = Type.Id.make ()
+
+type binding = Binding : 'a shared_key * 'a -> binding
+
+type shared = (int * string, binding) Hashtbl.t
+
 type 'm t = {
   engine : Engine.t;
   stats : Stats.t;
@@ -33,6 +45,7 @@ type 'm t = {
       (* on leader crash, Ω repoints to the lowest-id correct process
          after [detection_delay] *)
   mutable detection_delay : float;
+  shared : shared;
 }
 
 (* The capability bundle handed to a process program.  This is all a
@@ -49,10 +62,25 @@ type 'm ctx = {
   ctx_omega : Omega.t;
   ctx_stats : Stats.t;
   ctx_obs : Obs.t;
+  ctx_shared : shared;
   (* Spawn an auxiliary fiber belonging to this process: it dies with the
      process when a crash is injected. *)
   spawn_sub : string -> (unit -> unit) -> unit;
 }
+
+(* The value [key] holds under [name] in this cluster, made by [make] on
+   first use. *)
+let shared (type a) (table : shared) (key : a shared_key) ~name (make : unit -> a) : a =
+  let slot = (Type.Id.uid key, name) in
+  let fresh () =
+    let v = make () in
+    Hashtbl.replace table slot (Binding (key, v));
+    v
+  in
+  match Hashtbl.find_opt table slot with
+  | Some (Binding (k, v)) -> (
+      match Type.Id.provably_equal k key with Some Type.Equal -> v | None -> fresh ())
+  | None -> fresh ()
 
 (* Eventually-accurate failure detection: after the detection delay, if
    Ω still points at a crashed process, repoint to the lowest-id live
@@ -116,6 +144,7 @@ let create ?(seed = 1) ?(max_steps = 20_000_000) ?(latency = 1.0)
       programs = Array.make n None;
       auto_leader = true;
       detection_delay = 8.0;
+      shared = Hashtbl.create 4;
     }
   in
   (* Eventual accuracy covers leadership changes too: if Ω is ever
@@ -175,6 +204,9 @@ let set_detection_delay t d = t.detection_delay <- d
 let add_region_everywhere t ~name ~perm ~registers =
   Array.iter (fun mem -> Memory.add_region mem ~name ~perm ~registers) t.memories
 
+let add_family_everywhere t ~name ~perm family =
+  Array.iter (fun mem -> Memory.add_family mem ~name ~perm family) t.memories
+
 let ctx t pid =
   let spawn_sub name f =
     if not t.crashed.(pid) then begin
@@ -194,6 +226,7 @@ let ctx t pid =
     ctx_omega = t.omega;
     ctx_stats = t.stats;
     ctx_obs = Engine.obs t.engine;
+    ctx_shared = t.shared;
     spawn_sub;
   }
 

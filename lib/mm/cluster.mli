@@ -10,6 +10,20 @@ open Rdma_obs
 
 type 'm t
 
+(** Per-cluster state that one library module shares between the
+    programs of a cluster, such as a decode cache.  It is found by a
+    typed key the module creates and keeps private, so no other program
+    can reach or insert into it. *)
+type shared
+
+type 'a shared_key
+
+val shared_key : unit -> 'a shared_key
+
+(** [shared s key ~name make] is the value [key] holds under [name] in
+    this cluster, made by [make] on first use. *)
+val shared : shared -> 'a shared_key -> name:string -> (unit -> 'a) -> 'a
+
 (** Capability bundle handed to a process program — all a program (honest
     or Byzantine) ever sees of the system. *)
 type 'm ctx = {
@@ -24,6 +38,7 @@ type 'm ctx = {
   ctx_omega : Omega.t;
   ctx_stats : Stats.t;
   ctx_obs : Obs.t;
+  ctx_shared : shared;  (** the cluster's {!shared} state *)
   spawn_sub : string -> (unit -> unit) -> unit;
       (** Spawn an auxiliary fiber belonging to this process; it dies with
           the process when a crash is injected. *)
@@ -85,6 +100,11 @@ val set_detection_delay : 'm t -> float -> unit
     paper's algorithms use. *)
 val add_region_everywhere :
   'm t -> name:string -> perm:Rdma_mem.Permission.t -> registers:string list -> unit
+
+(** {!add_region_everywhere} for a register family
+    ({!Rdma_mem.Memory.add_family}). *)
+val add_family_everywhere :
+  'm t -> name:string -> perm:Rdma_mem.Permission.t -> Memory.family -> unit
 
 (** Build the capability bundle for [pid] without spawning (for tests). *)
 val ctx : 'm t -> int -> 'm ctx

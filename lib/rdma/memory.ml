@@ -35,9 +35,12 @@
 
    The register -> region layout lives in a [table] that a cluster's
    memories share: a region is declared once, and every memory then
-   attaches it by name.  The per-memory store holds only registers that
-   have been written; a register never written carries its region's
-   creation epoch as its stamp and holds ⊥. *)
+   attaches it by name.  A region either lists its registers or names a
+   [family] — every name of one shape within a bound, the way an RDMA
+   NIC registers a memory region as one contiguous range — whose names
+   are never entered one by one.  The per-memory store holds only
+   registers that have been written; a register never written carries
+   its region's creation epoch as its stamp and holds ⊥. *)
 
 open Rdma_sim
 open Rdma_obs
@@ -46,22 +49,102 @@ type op_result = Ack | Nak
 
 type read_result = Read of string option | Read_nak
 
-(* The register -> region layout.  Declaring a region enters each of its
-   registers once; attaching an already-declared region (same name, same
-   register list) to another memory costs one list comparison. *)
+type family = { prefix : string; rows : int; cols : int }
+
+type layout = Listed of string list | Family of family
+
+(* The register -> region layout.  Declaring a listed region enters each
+   of its registers once; a family region enters only its prefix.
+   Attaching an already-declared region (same name, same layout) to
+   another memory costs one layout comparison. *)
 type table = {
-  (* region -> its registers, as first declared *)
-  layouts : (string, string list) Hashtbl.t;
-  (* register -> owning region; enforces "a register belongs to exactly
-     one region" (our algorithms' convention, Section 3) *)
+  (* region -> its layout, as first declared *)
+  layouts : (string, layout) Hashtbl.t;
+  (* listed register -> owning region; with [families], enforces "a
+     register belongs to exactly one region" (our algorithms'
+     convention, Section 3) *)
   owner : (string, string) Hashtbl.t;
+  (* family prefix -> (region, family).  A family name's prefix is all
+     of it up to its second-last '.', so one lookup finds the only
+     family a name can belong to. *)
+  families : (string, string * family) Hashtbl.t;
+  (* family-shaped listed registers, by the prefix they would have: what
+     a new family must not cover *)
+  shaped : (string, string) Hashtbl.t;
 }
 
-let create_table () = { layouts = Hashtbl.create 16; owner = Hashtbl.create 256 }
+let create_table () =
+  {
+    layouts = Hashtbl.create 16;
+    owner = Hashtbl.create 256;
+    families = Hashtbl.create 16;
+    shaped = Hashtbl.create 16;
+  }
+
+(* The canonical decimal [s.[i] .. s.[stop - 1]]: digits only, no sign,
+   no leading zero but for "0" itself, and short enough not to overflow. *)
+let canonical_int s i stop =
+  let len = stop - i in
+  let rec digits j acc =
+    if j = stop then Some acc
+    else
+      match s.[j] with
+      | '0' .. '9' as c -> digits (j + 1) ((acc * 10) + Char.code c - Char.code '0')
+      | _ -> None
+  in
+  if len < 1 || len > 9 || (len > 1 && s.[i] = '0') then None else digits i 0
+
+(* [s.[i] ..] read as "<k>.<j>" with both canonical. *)
+let grid_index s i =
+  match String.index_from_opt s i '.' with
+  | None -> None
+  | Some dot -> (
+      match (canonical_int s i dot, canonical_int s (dot + 1) (String.length s)) with
+      | Some k, Some j -> Some (k, j)
+      | _ -> None)
+
+let in_bounds f (k, j) = k >= 1 && k <= f.rows && j >= 0 && j < f.cols
+
+(* Whether [reg] is one of family [f]'s names. *)
+let family_mem f reg =
+  String.starts_with ~prefix:f.prefix reg
+  &&
+  match grid_index reg (String.length f.prefix) with
+  | Some kj -> in_bounds f kj
+  | None -> false
+
+(* [reg] as (prefix, (k, j)) when it has a family name's shape. *)
+let family_shape reg =
+  match String.rindex_opt reg '.' with
+  | None -> None
+  | Some last ->
+      let start =
+        match String.rindex_from_opt reg (last - 1) '.' with
+        | Some dot -> dot + 1
+        | None -> 0
+      in
+      Option.map
+        (fun kj -> (String.sub reg 0 start, kj))
+        (grid_index reg start)
+
+(* The family region a name of shape (prefix, kj) belongs to, if any. *)
+let shape_owner table (prefix, kj) =
+  match Hashtbl.find_opt table.families prefix with
+  | Some (name, f) when in_bounds f kj -> Some name
+  | Some _ | None -> None
+
+let family_owner table reg = Option.bind (family_shape reg) (shape_owner table)
+
+let family_names f =
+  Seq.concat_map
+    (fun k ->
+      let row = f.prefix ^ string_of_int k ^ "." in
+      Seq.map (fun j -> row ^ string_of_int j) (Seq.init f.cols Fun.id))
+    (Seq.init f.rows (fun k -> k + 1))
 
 type region = {
   region_name : string;
-  registers : string list; (* as declared: physically the table's list *)
+  layout : layout; (* as declared: physically the table's *)
   (* the epoch the region was attached in: the stamp of every one of its
      registers that has not been written since *)
   created_epoch : int;
@@ -151,57 +234,91 @@ let stats t = t.stats
    the moment the permission check happens. *)
 let emit t ev = Obs.event t.obs ~actor:t.actor ev
 
+(* A crash of a crashed memory is a no-op, as for a process. *)
 let crash t =
-  t.crashed <- true;
-  emit t (Event.Mem_crash { mid = t.mid })
+  if not t.crashed then begin
+    t.crashed <- true;
+    emit t (Event.Mem_crash { mid = t.mid })
+  end
 
 let is_crashed t = t.crashed
 
 let epoch t = t.epoch
 
-(* The table's register list for region [name]: declared here if new,
-   else the declared list, which [registers] must equal. *)
-let declare table ~name ~registers =
+let layout_equal a b =
+  match (a, b) with
+  | Listed a, Listed b -> List.equal String.equal a b
+  | Family a, Family b -> String.equal a.prefix b.prefix && a.rows = b.rows && a.cols = b.cols
+  | Listed _, Family _ | Family _, Listed _ -> false
+
+let conflict fmt = Printf.ksprintf (fun msg -> invalid_arg ("Memory.add_region: " ^ msg)) fmt
+
+(* The table's layout for region [name]: declared here if new, else the
+   declared layout, which [layout] must equal. *)
+let declare table ~name layout =
   match Hashtbl.find_opt table.layouts name with
   | Some declared ->
-      if not (List.equal String.equal declared registers) then
-        invalid_arg
-          (Printf.sprintf
-             "Memory.add_region: region %s already declared with other registers"
-             name);
+      if not (layout_equal declared layout) then
+        conflict "region %s already declared with other registers" name;
       declared
   | None ->
-      List.iter
-        (fun r ->
-          match Hashtbl.find_opt table.owner r with
-          | Some other ->
-              invalid_arg
-                (Printf.sprintf
-                   "Memory.add_region: register %s already in region %s" r other)
-          | None -> Hashtbl.add table.owner r name)
-        registers;
-      Hashtbl.add table.layouts name registers;
-      registers
+      (match layout with
+      | Listed registers ->
+          List.iter
+            (fun r ->
+              (match Hashtbl.find_opt table.owner r with
+              | Some other -> conflict "register %s already in region %s" r other
+              | None -> Hashtbl.add table.owner r name);
+              Option.iter
+                (fun ((prefix, _) as shape) ->
+                  Option.iter
+                    (conflict "register %s already in region %s" r)
+                    (shape_owner table shape);
+                  Hashtbl.add table.shaped prefix r)
+                (family_shape r))
+            registers
+      | Family f ->
+          if f.prefix <> "" && f.prefix.[String.length f.prefix - 1] <> '.' then
+            conflict "family prefix %s does not end in '.'" f.prefix;
+          (match Hashtbl.find_opt table.families f.prefix with
+          | Some (other, _) -> conflict "family %s* overlaps region %s" f.prefix other
+          | None -> ());
+          List.iter
+            (fun r ->
+              if family_mem f r then
+                conflict "register %s already in region %s"
+                  r (Hashtbl.find table.owner r))
+            (Hashtbl.find_all table.shaped f.prefix);
+          Hashtbl.add table.families f.prefix (name, f));
+      Hashtbl.add table.layouts name layout;
+      layout
 
-let add_region t ~name ~perm ~registers =
+let attach t ~name ~perm layout =
   if Hashtbl.mem t.regions name then
     invalid_arg (Printf.sprintf "Memory.add_region: duplicate region %s" name);
-  let registers = declare t.table ~name ~registers in
+  let layout = declare t.table ~name layout in
   Hashtbl.add t.regions name
     {
       region_name = name;
-      registers;
+      layout;
       created_epoch = t.epoch;
       perm;
       genesis = perm;
       granted_epoch = t.epoch;
     }
 
+let add_region t ~name ~perm ~registers = attach t ~name ~perm (Listed registers)
+
+let add_family t ~name ~perm family = attach t ~name ~perm (Family family)
+
 (* Whether [reg] is one of region [r]'s registers. *)
 let owns t r reg =
-  match Hashtbl.find_opt t.table.owner reg with
-  | Some name -> String.equal name r.region_name
-  | None -> false
+  match r.layout with
+  | Family f -> family_mem f reg
+  | Listed _ -> (
+      match Hashtbl.find_opt t.table.owner reg with
+      | Some name -> String.equal name r.region_name
+      | None -> false)
 
 (* (epoch of last write, value) of [reg], a register of region [r]: an
    unwritten register holds ⊥ under the region's creation epoch. *)
@@ -220,7 +337,12 @@ let peek_register t reg =
 (* A register is fresh when its last write happened in the current
    epoch; stale registers are lost state awaiting repair. *)
 let register_fresh t reg =
-  match Option.bind (Hashtbl.find_opt t.table.owner reg) (Hashtbl.find_opt t.regions) with
+  let owner =
+    match Hashtbl.find_opt t.table.owner reg with
+    | Some name -> Some name
+    | None -> family_owner t.table reg
+  in
+  match Option.bind owner (Hashtbl.find_opt t.regions) with
   | Some r -> fst (slot t r reg) = t.epoch
   | None -> false
 
@@ -228,8 +350,13 @@ let stale_registers t ~region =
   match Hashtbl.find_opt t.regions region with
   | None -> []
   | Some r ->
-      List.filter (fun reg -> fst (slot t r reg) <> t.epoch) r.registers
-      |> List.sort compare
+      let names =
+        match r.layout with
+        | Listed registers -> List.to_seq registers
+        | Family f -> family_names f
+      in
+      Seq.filter (fun reg -> fst (slot t r reg) <> t.epoch) names
+      |> List.of_seq |> List.sort compare
 
 let region_perm t name =
   match Hashtbl.find_opt t.regions name with

@@ -65,7 +65,8 @@ val obs : t -> Rdma_obs.Obs.t
 val stats : t -> Stats.t
 
 (** Crash the memory: every outstanding and future operation hangs.
-    Emits a [Mem_crash] event, as {!restart} emits [Mem_restart]. *)
+    Emits a [Mem_crash] event, as {!restart} emits [Mem_restart].  A
+    no-op (no event) when the memory is already crashed. *)
 val crash : t -> unit
 
 val is_crashed : t -> bool
@@ -91,9 +92,25 @@ val restart : ?rejoin:[ `Genesis | `Quarantine ] -> t -> unit
     declared in [t]'s table (by another memory sharing it) is attached
     with its declared registers, which [registers] must equal.  Raises
     [Invalid_argument] on a duplicate region in [t], a register claimed
-    by two regions, or a declared region given another register list. *)
+    by two regions, or a declared region given another layout. *)
 val add_region :
   t -> name:string -> perm:Permission.t -> registers:string list -> unit
+
+(** A register family: the names [<prefix><k>.<j>] for every [k] in
+    [\[1, rows\]] and [j] in [\[0, cols)], both written in canonical
+    decimal (no sign, no leading zero).  Any other spelling, such as
+    [01], [+1] or [1_], is not a member.  [prefix] is empty or ends in
+    ['.']. *)
+type family = { prefix : string; rows : int; cols : int }
+
+(** [add_family t ~name ~perm family] creates a region whose registers
+    are [family]'s names, declared by their rule and bound rather than
+    entered one by one, and otherwise behaves like {!add_region}.  On top
+    of {!add_region}'s checks it raises [Invalid_argument] when [family]
+    shares its prefix with another declared family (they would overlap)
+    or covers a register of a listed region.  A listed region that names
+    a register inside a declared family raises too. *)
+val add_family : t -> name:string -> perm:Permission.t -> family -> unit
 
 (** Zero-delay inspection, for tests and traces only. *)
 val peek_register : t -> string -> string option

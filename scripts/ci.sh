@@ -126,6 +126,18 @@ grep -q "crypto.verifies.cached" "$tmp/bm1.json" || {
   echo "Byzantine batch metrics missing the verdict-memo counter" >&2
   exit 1
 }
+# Fast & Robust too: its slow path runs NEB and T-send, whose per-cluster
+# decode boards must not depend on the spread over domains either.
+dune exec bin/rdma_agreement.exe -- chaos explore fast-robust \
+  --runs 25 --seed 1 --adversary --byzantine -j 1 \
+  --metrics-out "$tmp/fm1.json" > "$tmp/fj1.out"
+dune exec bin/rdma_agreement.exe -- chaos explore fast-robust \
+  --runs 25 --seed 1 --adversary --byzantine -j 4 \
+  --metrics-out "$tmp/fm4.json" > "$tmp/fj4.out"
+cmp "$tmp/fm1.json" "$tmp/fm4.json"
+grep -v "^metrics written" "$tmp/fj1.out" > "$tmp/fj1.flt"
+grep -v "^metrics written" "$tmp/fj4.out" > "$tmp/fj4.flt"
+cmp "$tmp/fj1.flt" "$tmp/fj4.flt"
 
 # Same contract for the experiment harness: a subset of the suite run
 # across 4 domains prints the same bytes as the sequential run.

@@ -418,6 +418,132 @@ let test_shared_table_attach () =
       Alcotest.(check (list string)) "m0 unaffected" []
         (Memory.stale_registers m0 ~region:"r"))
 
+let test_repeat_crash_is_noop () =
+  (* A second crash of a crashed memory changes nothing and emits no
+     second [Mem_crash], as a repeat process crash does. *)
+  let engine, mem = make_memory () in
+  let crashes = ref 0 in
+  Rdma_obs.Obs.subscribe (Memory.obs mem) (fun ~at:_ ~actor:_ -> function
+    | Rdma_obs.Event.Mem_crash _ -> incr crashes
+    | _ -> ());
+  Memory.add_region mem ~name:"r" ~perm:(Permission.all_readwrite ~n:1) ~registers:[ "x" ];
+  Memory.crash mem;
+  Memory.crash mem;
+  Alcotest.(check int) "one Mem_crash for two crashes" 1 !crashes;
+  Memory.restart mem;
+  Alcotest.(check int) "one restart, epoch 1" 1 (Memory.epoch mem);
+  in_fiber engine (fun () ->
+      let w = Ivar.await (Memory.write_async mem ~from:0 ~region:"r" ~reg:"x" "v") in
+      Alcotest.check op_result "serves after the restart" Memory.Ack w)
+
+(* slots[0, k, src] of a NEB-shaped family: k in [1, 3], src in [0, 2) *)
+let slot_family = { Memory.prefix = "s.0."; rows = 3; cols = 2 }
+
+let test_family_naks_off_pattern () =
+  (* A family region owns exactly its canonical in-bound names; every
+     other name naks like a register outside a listed region. *)
+  let engine, mem = make_memory () in
+  let perm = Permission.all_readwrite ~n:1 in
+  Memory.add_family mem ~name:"neb.0" ~perm slot_family;
+  Memory.add_family mem ~name:"neb.1" ~perm { slot_family with prefix = "s.1." };
+  Memory.add_family mem ~name:"x.neb.0" ~perm { slot_family with prefix = "x.s.0." };
+  Memory.add_region mem ~name:"listed" ~perm ~registers:[ "y" ];
+  in_fiber engine (fun () ->
+      let write reg = Ivar.await (Memory.write_async mem ~from:0 ~region:"neb.0" ~reg "v") in
+      let read reg = Ivar.await (Memory.read_async mem ~from:0 ~region:"neb.0" ~reg) in
+      List.iter
+        (fun reg ->
+          Alcotest.check op_result (reg ^ " is a member") Memory.Ack (write reg);
+          Alcotest.check read_result (reg ^ " reads back") (Memory.Read (Some "v")) (read reg))
+        [ "s.0.1.0"; "s.0.3.1"; "s.0.2.0" ];
+      (* the listed-region baseline: what an unknown register answers *)
+      let unknown_w =
+        Ivar.await (Memory.write_async mem ~from:0 ~region:"listed" ~reg:"z" "v")
+      in
+      let unknown_r = Ivar.await (Memory.read_async mem ~from:0 ~region:"listed" ~reg:"z") in
+      List.iter
+        (fun reg ->
+          Alcotest.check op_result (reg ^ " write naks as unknown") unknown_w (write reg);
+          Alcotest.check read_result (reg ^ " read naks as unknown") unknown_r (read reg))
+        [
+          "s.0.0.0" (* k = 0 *);
+          "s.0.4.0" (* k = max_seq + 1 *);
+          "s.0.1.2" (* src = n *);
+          "s.0.01.0";
+          "s.0.+1.0";
+          "s.0.1_.0";
+          "s.0.1.01";
+          "s.0.1";
+          "s.0.1.0.0";
+          "s.1.1.0" (* another owner's prefix *);
+          "x.s.0.1.0" (* another namespace's prefix *);
+        ];
+      List.iter
+        (fun reg ->
+          Alcotest.(check bool) (reg ^ " is in no region, never fresh") false
+            (Memory.register_fresh mem reg))
+        [ "s.0.0.0"; "s.0.4.0"; "s.0.1.2"; "s.0.01.0"; "s.0.+1.0"; "s.0.1_.0" ];
+      Alcotest.(check bool) "a member written this epoch is fresh" true
+        (Memory.register_fresh mem "s.0.1.0"))
+
+let test_family_layout_conflicts () =
+  let engine = Engine.create () in
+  let stats = Stats.create () in
+  let table = Memory.create_table () in
+  let mem mid = Memory.create ~table ~engine ~stats ~mid () in
+  let m0 = mem 0 and m1 = mem 1 in
+  let perm = Permission.all_readwrite ~n:1 in
+  Memory.add_region m0 ~name:"early" ~perm ~registers:[ "s.5.1.0" ];
+  Memory.add_family m0 ~name:"neb.0" ~perm slot_family;
+  Memory.add_family m1 ~name:"neb.0" ~perm slot_family;
+  Alcotest.(check (list string)) "the same family attaches" [ "neb.0" ]
+    (Memory.region_names m1);
+  Alcotest.(check bool) "listed register inside a family" true
+    (raises (fun () -> Memory.add_region m0 ~name:"l" ~perm ~registers:[ "q"; "s.0.2.1" ]));
+  Memory.add_region m0 ~name:"outside" ~perm ~registers:[ "s.0.4.0"; "s.0.01.0"; "s.0.1.2" ];
+  Alcotest.(check bool) "family re-declared with another bound" true
+    (raises (fun () ->
+         Memory.add_family (mem 2) ~name:"neb.0" ~perm { slot_family with rows = 4 }));
+  Alcotest.(check bool) "family re-declared as a list" true
+    (raises (fun () -> Memory.add_region (mem 3) ~name:"neb.0" ~perm ~registers:[ "s.0.1.0" ]));
+  Alcotest.(check bool) "overlapping family" true
+    (raises (fun () -> Memory.add_family m0 ~name:"other" ~perm { slot_family with cols = 1 }));
+  Alcotest.(check bool) "family covering a listed register" true
+    (raises (fun () -> Memory.add_family m0 ~name:"neb.5" ~perm { slot_family with prefix = "s.5." }));
+  Alcotest.(check bool) "family prefix must end in '.'" true
+    (raises (fun () -> Memory.add_family m0 ~name:"bad" ~perm { slot_family with prefix = "s.9" }))
+
+let test_neb_stale_registers_after_restart () =
+  (* A NEB region is a family; after a restart its stale list is every
+     slot name, sorted, exactly what the name-by-name layout listed. *)
+  let n = 3 and max_seq = 12 in
+  let cluster : string Rdma_mm.Cluster.t = Rdma_mm.Cluster.create ~n ~m:1 () in
+  Rdma_consensus.Neb.setup_regions cluster ~max_seq ();
+  let mem = Rdma_mm.Cluster.memory cluster 0 in
+  let names owner =
+    List.concat_map
+      (fun k -> List.init n (fun src -> Rdma_consensus.Neb.slot_reg ~owner ~k ~src))
+      (List.init max_seq (fun k -> k + 1))
+  in
+  let region = Rdma_consensus.Neb.region_of 1 in
+  let written = Rdma_consensus.Neb.slot_reg ~owner:1 ~k:10 ~src:2 in
+  in_fiber (Rdma_mm.Cluster.engine cluster) (fun () ->
+      ignore (Ivar.await (Memory.write_async mem ~from:1 ~region ~reg:written "v"));
+      Alcotest.(check (list string)) "nothing stale before a crash" []
+        (Memory.stale_registers mem ~region);
+      Memory.crash mem;
+      Memory.restart mem;
+      Alcotest.(check (list string)) "every slot stale, sorted"
+        (List.sort compare (names 1))
+        (Memory.stale_registers mem ~region);
+      ignore (Ivar.await (Memory.write_async mem ~from:1 ~region ~reg:written "w"));
+      Alcotest.(check (list string)) "the repaired slot drops out"
+        (List.sort compare (List.filter (fun r -> r <> written) (names 1)))
+        (Memory.stale_registers mem ~region);
+      Alcotest.(check bool) "repaired slot is fresh" true (Memory.register_fresh mem written);
+      Alcotest.(check bool) "unwritten slot is stale" false
+        (Memory.register_fresh mem (Rdma_consensus.Neb.slot_reg ~owner:1 ~k:1 ~src:0)))
+
 let test_permission_disjointness () =
   Alcotest.(check bool) "overlapping sets rejected" true
     (try
@@ -462,4 +588,9 @@ let suite =
       test_shared_table_conflicts;
     Alcotest.test_case "cluster memories attach one declared region" `Quick
       test_shared_table_attach;
+    Alcotest.test_case "a repeat crash is a no-op" `Quick test_repeat_crash_is_noop;
+    Alcotest.test_case "family naks off-pattern names" `Quick test_family_naks_off_pattern;
+    Alcotest.test_case "family layout conflicts raise" `Quick test_family_layout_conflicts;
+    Alcotest.test_case "NEB family stale_registers after a restart" `Quick
+      test_neb_stale_registers_after_restart;
   ]

@@ -259,6 +259,115 @@ let test_broadcaster_crash_mid_write () =
         true (d1 = d2))
     [ 0.25; 0.5; 0.75; 1.0; 1.25; 1.5; 2.0 ]
 
+(* {2 The decode board} *)
+
+(* A slot value with key field [kf] and msg [m], signed by [ctx]'s
+   process for sequence number [signed_k] *)
+let slot_value (ctx : _ Cluster.ctx) ~kf ~signed_k m =
+  Codec.join3 kf m
+    (Rdma_crypto.Keychain.encode
+       (Rdma_crypto.Keychain.sign ctx.Cluster.signer (Neb.slot_payload ~k:signed_k m)))
+
+let write_own_slot (ctx : _ Cluster.ctx) ~k v =
+  let me = ctx.Cluster.pid in
+  let own = Rdma_reg.Swmr.attach ~client:ctx.Cluster.client ~region:(Neb.region_of me) in
+  ignore (Rdma_reg.Swmr.write own ~reg:(Neb.slot_reg ~owner:me ~k ~src:me) v)
+
+let test_overwrite_decoded_afresh () =
+  (* p1 reads and delivers p0's first signed value; p0 then overwrites
+     its slot with a second one.  p2, reading only after that, must
+     decode the new bytes — and, seeing p1's copy of the first, find
+     the equivocation and deliver nothing. *)
+  let n = 3 and m = 3 in
+  let cluster = build ~n ~m () in
+  let logs = Array.init n (fun _ -> ref []) in
+  Cluster.spawn_byzantine cluster ~pid:0 (fun ctx ->
+      write_own_slot ctx ~k:1 (slot_value ctx ~kf:"1" ~signed_k:1 "black");
+      Engine.sleep 30.0;
+      write_own_slot ctx ~k:1 (slot_value ctx ~kf:"1" ~signed_k:1 "white"));
+  Cluster.spawn cluster ~pid:1 (honest ~msgs:[] ~log:logs.(1) ());
+  Cluster.spawn cluster ~pid:2 (fun ctx ->
+      Engine.sleep 40.0;
+      honest ~msgs:[] ~log:logs.(2) () ctx);
+  Cluster.run cluster;
+  Cluster.check_errors cluster;
+  Alcotest.(check (list (pair int string))) "p1 delivers the first value"
+    [ (1, "black") ] (delivered_by logs.(1) ~src:0);
+  Alcotest.(check (list (pair int string))) "p2 sees the overwrite: nothing delivered" []
+    (delivered_by logs.(2) ~src:0)
+
+let test_rekeyed_slot_decoded_afresh () =
+  (* p0's k = 1 slot first holds a value keyed and signed for k = 2 (the
+     key check refuses it), then the k = 1 value under a non-canonical
+     key field.  The reader must decode the new bytes and deliver. *)
+  List.iter
+    (fun (bad, good) ->
+      let n = 2 and m = 3 in
+      let cluster = build ~n ~m () in
+      let log = ref [] in
+      Cluster.spawn_byzantine cluster ~pid:0 (fun ctx ->
+          write_own_slot ctx ~k:1 (slot_value ctx ~kf:bad ~signed_k:2 "early");
+          Engine.sleep 20.0;
+          write_own_slot ctx ~k:1 (slot_value ctx ~kf:good ~signed_k:1 "early"));
+      Cluster.spawn cluster ~pid:1 (honest ~msgs:[] ~log ());
+      Cluster.run cluster;
+      Cluster.check_errors cluster;
+      Alcotest.(check (list (pair int string)))
+        (Printf.sprintf "k field %S then %S: delivered once re-keyed" bad good)
+        [ (1, "early") ] (delivered_by log ~src:0))
+    [ ("+2", "01"); ("02", "+1") ]
+
+let test_boards_per_cluster () =
+  (* Two clusters with the same keys and namespace, one after the other,
+     at different n: each delivers only its own messages. *)
+  List.iter
+    (fun (n, msg) ->
+      let cluster = build ~n ~m:3 () in
+      let logs = Array.init n (fun _ -> ref []) in
+      for pid = 0 to n - 1 do
+        let msgs = if pid = 0 then [ msg ] else [] in
+        Cluster.spawn cluster ~pid (honest ~msgs ~log:logs.(pid) ())
+      done;
+      Cluster.run cluster;
+      Cluster.check_errors cluster;
+      Array.iteri
+        (fun pid log ->
+          Alcotest.(check (list (pair int string)))
+            (Printf.sprintf "n = %d: p%d delivers its own cluster's message" n pid)
+            [ (1, msg) ] (delivered_by log ~src:0))
+        logs)
+    [ (3, "first"); (5, "second"); (3, "third") ]
+
+let test_boards_per_namespace () =
+  (* Two NEB instances in one cluster, in namespaces "x." and "y." (as
+     the slots of a BFT log): each delivers its own messages. *)
+  let n = 3 and m = 3 in
+  let cluster : string Cluster.t = Cluster.create ~n ~m () in
+  let namespaces = [ "x."; "y." ] in
+  List.iter (fun ns -> Neb.setup_regions cluster ~ns ~max_seq:neb_cfg.Neb.max_seq ()) namespaces;
+  let logs = List.map (fun ns -> (ns, Array.init n (fun _ -> ref []))) namespaces in
+  for pid = 0 to n - 1 do
+    Cluster.spawn cluster ~pid (fun ctx ->
+        List.iter
+          (fun (ns, logs) ->
+            honest ~cfg:{ neb_cfg with Neb.ns }
+              ~msgs:(if pid = 0 then [ "in-" ^ ns; "again-" ^ ns ] else [])
+              ~log:logs.(pid) () ctx)
+          logs)
+  done;
+  Cluster.run cluster;
+  Cluster.check_errors cluster;
+  List.iter
+    (fun (ns, logs) ->
+      Array.iteri
+        (fun pid log ->
+          Alcotest.(check (list (pair int string)))
+            (Printf.sprintf "ns %s: p%d delivers its own messages" ns pid)
+            [ (1, "in-" ^ ns); (2, "again-" ^ ns) ]
+            (delivered_by log ~src:0))
+        logs)
+    logs
+
 let suite =
   [
     Alcotest.test_case "broadcaster crash mid-write sweep" `Quick
@@ -278,4 +387,10 @@ let suite =
     Alcotest.test_case "mis-keyed slots are not delivered" `Quick
       test_wrong_key_not_delivered;
     Alcotest.test_case "per-sender FIFO delivery" `Quick test_delivery_order_is_sequential;
+    Alcotest.test_case "board: overwritten slot decoded afresh" `Quick
+      test_overwrite_decoded_afresh;
+    Alcotest.test_case "board: re-keyed slot decoded afresh" `Quick
+      test_rekeyed_slot_decoded_afresh;
+    Alcotest.test_case "board: one per cluster" `Quick test_boards_per_cluster;
+    Alcotest.test_case "board: one per namespace" `Quick test_boards_per_namespace;
   ]

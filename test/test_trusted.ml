@@ -296,6 +296,82 @@ let test_entry_codec_roundtrip () =
       Alcotest.(check bool) "entries preserved" true (entries = entries')
   | None -> Alcotest.fail "history did not roundtrip"
 
+(* {2 The split board} *)
+
+let test_restart_overwrite_split_afresh () =
+  (* Byzantine p0 T-sends "alpha", then overwrites that NEB slot with a
+     validly signed "beta".  p1 receives "alpha", crashes, and restarts
+     with nothing: its new instance reads the new bytes, finds no
+     conflicting copy (p2 never runs) and must receive "beta" — split
+     from those bytes, not from the first delivery's. *)
+  let n = 3 and m = 3 in
+  let cluster = build ~n ~m () in
+  let received = ref [] in
+  Cluster.spawn_byzantine cluster ~pid:0 (fun ctx ->
+      let own = Rdma_reg.Swmr.attach ~client:ctx.Cluster.client ~region:(Neb.region_of 0) in
+      let sign payload = Rdma_crypto.Keychain.sign ctx.Cluster.signer payload in
+      let t_sent msg =
+        let payload =
+          Codec.join3 msg
+            (Rdma_crypto.Keychain.encode (sign (Trusted.bare_payload ~k:1 msg)))
+            (Trusted.encode_history [])
+        in
+        Neb.encode_slot ~k:1 ~msg:payload ~signature:(sign (Neb.slot_payload ~k:1 payload))
+      in
+      let write v = ignore (Rdma_reg.Swmr.write own ~reg:(Neb.slot_reg ~owner:0 ~k:1 ~src:0) v) in
+      write (t_sent "alpha");
+      Engine.sleep 30.0;
+      write (t_sent "beta"));
+  Cluster.spawn cluster ~pid:1 (fun ctx ->
+      ignore
+        (Trusted.create ctx ~cfg
+           ~on_receive:(fun ~src ~msg -> received := (src, msg) :: !received)
+           ()));
+  Cluster.crash_process_at cluster ~at:20.0 1;
+  Cluster.restart_process_at cluster ~at:40.0 1;
+  Cluster.run cluster;
+  Cluster.check_errors cluster;
+  Alcotest.(check (list (pair int string))) "each incarnation receives what it read"
+    [ (0, "alpha"); (0, "beta") ] (List.rev !received)
+
+let test_boards_per_namespace_and_cluster () =
+  (* T-send in namespaces "x." and "y." of one cluster, then in "x." of
+     a second cluster with the same keys: every receiver gets exactly
+     the messages of its own cluster and namespace. *)
+  let run ~namespaces ~tag =
+    let n = 3 and m = 3 in
+    let cluster : string Cluster.t = Cluster.create ~n ~m () in
+    List.iter
+      (fun ns -> Neb.setup_regions cluster ~ns ~max_seq:neb_cfg.Neb.max_seq ())
+      namespaces;
+    let received = Array.init n (fun _ -> ref []) in
+    for pid = 0 to n - 1 do
+      Cluster.spawn cluster ~pid (fun ctx ->
+          List.iter
+            (fun ns ->
+              let t =
+                Trusted.create ctx
+                  ~cfg:{ Trusted.neb = { neb_cfg with Neb.ns } }
+                  ~on_receive:(fun ~src ~msg ->
+                    received.(pid) := (ns, src, msg) :: !(received.(pid)))
+                  ()
+              in
+              if pid = 0 then Trusted.t_send t (tag ^ ns))
+            namespaces)
+    done;
+    Cluster.run cluster;
+    Cluster.check_errors cluster;
+    Array.iteri
+      (fun pid received ->
+        Alcotest.(check (list (triple string int string)))
+          (Printf.sprintf "%s: p%d receives its own namespaces' messages" tag pid)
+          (List.map (fun ns -> (ns, 0, tag ^ ns)) namespaces)
+          (List.sort compare !received))
+      received
+  in
+  run ~namespaces:[ "x."; "y." ] ~tag:"first-";
+  run ~namespaces:[ "x." ] ~tag:"second-"
+
 let suite =
   [
     Alcotest.test_case "t-send/t-receive roundtrip" `Quick test_basic_roundtrip;
@@ -310,4 +386,8 @@ let suite =
       test_noncanonical_history;
     Alcotest.test_case "incremental replay = from-scratch replay" `Quick
       test_incremental_replay_matches;
+    Alcotest.test_case "board: restarted receiver splits afresh" `Quick
+      test_restart_overwrite_split_afresh;
+    Alcotest.test_case "board: one per cluster and namespace" `Quick
+      test_boards_per_namespace_and_cluster;
   ]
